@@ -58,6 +58,9 @@ class PStateTable:
                     f"{fast.name} runs faster than {slow.name} at lower voltage"
                 )
         self._states: Sequence[PState] = tuple(ordered)
+        # speedup() runs once per consumed item: read the nominal
+        # frequency from a plain attribute, not two property hops.
+        self._nominal_hz = ordered[-1].freq_hz
 
     @property
     def states(self) -> Sequence[PState]:
@@ -79,7 +82,7 @@ class PStateTable:
 
     def speedup(self, state: PState) -> float:
         """Execution-speed ratio of ``state`` relative to nominal (≤ 1)."""
-        return state.freq_hz / self.nominal.freq_hz
+        return state.freq_hz / self._nominal_hz
 
     def step_down(self, state: PState, steps: int = 1) -> PState:
         """The P-state ``steps`` below ``state`` (clamped at slowest)."""
@@ -100,7 +103,7 @@ class PStateTable:
         """
         if not 0.0 <= utilization <= 1.0:
             raise ValueError(f"utilization must be in [0, 1], got {utilization}")
-        needed = utilization * self.nominal.freq_hz
+        needed = utilization * self._nominal_hz
         for state in self._states:
             if state.freq_hz >= needed:
                 return state

@@ -93,8 +93,10 @@ class PairStats:
     overflow_wakeups: int = 0
     #: Raw per-item response latencies (if tracked).
     latencies: List[float] = field(default_factory=list)
-    #: Constant-memory P² percentile estimates, always maintained — so
-    #: huge runs with ``track_latencies=False`` still report tails.
+    #: Constant-memory P² percentile estimates, fed only when raw
+    #: latencies are not kept — so huge runs with
+    #: ``track_latencies=False`` still report tails. Tracked pairs read
+    #: their percentiles from ``latencies`` and leave this stream empty.
     latency_stream: StreamingLatency = field(
         default_factory=lambda: StreamingLatency(quantiles=(0.5, 0.95, 0.99))
     )
@@ -122,9 +124,10 @@ class PairStats:
             self.deadline_misses += 1
             if now_s is not None and now_s > self.last_miss_s:
                 self.last_miss_s = now_s
-        self.latency_stream.observe(latency_s)
         if keep_raw:
             self.latencies.append(latency_s)
+        else:
+            self.latency_stream.observe(latency_s)
 
     @property
     def mean_latency_s(self) -> float:

@@ -7,9 +7,11 @@ algorithm (CACM 1985) maintains a quantile estimate with five markers
 and O(1) work per observation — the classic tool for exactly this job.
 
 :class:`P2Quantile` estimates one quantile; :class:`StreamingLatency`
-bundles the mean/max/deadline counters of
-:class:`~repro.impls.base.PairStats` with a set of P² markers, giving
-``track_latencies=False`` runs their percentiles back.
+keeps a count/mean/max next to a set of P² markers. It is the fallback
+that gives ``track_latencies=False`` runs their percentiles back:
+:class:`~repro.impls.base.PairStats` feeds it only when raw latencies
+are not kept, since tracked runs report exact percentiles from the raw
+samples and would never read the estimates.
 """
 
 from __future__ import annotations
@@ -153,10 +155,10 @@ class StreamingLatency:
     P² is order-dependent but deterministic, and the estimators are
     mutually independent, so replaying the buffered values in arrival
     order — one estimator at a time — produces bit-identical marker
-    state to the old eager per-observation update. Runs that never read
-    a quantile (e.g. ``track_latencies=True`` runs, which report
-    exact percentiles from the raw samples) skip the P² arithmetic for
-    everything still in the buffer.
+    state to the old eager per-observation update. A stream that is
+    never read skips the P² arithmetic for everything still in the
+    buffer. (``track_latencies=True`` pairs, which report exact
+    percentiles from the raw samples, do not feed a stream at all.)
     """
 
     quantiles: Sequence[float] = (0.5, 0.95, 0.99)

@@ -328,11 +328,11 @@ class SanitizingEnvironment(Environment):
     def run(self, until=None) -> Any:
         """The base run loop with sanitizer hooks around each dispatch.
 
-        Uses the calendar queue's single-event surface (``peek`` /
-        ``_pop_entry``) instead of mirroring the batched drain: the
-        sanitizer needs the ``(when, priority)`` of every entry anyway,
-        and batch dispatch changes nothing it observes — equal-timestamp
-        events still arrive consecutively in (priority, eid) order.
+        Uses the event queue's single-event surface (``peek`` /
+        ``_pop_entry``) instead of mirroring the inlined pop: the
+        sanitizer needs the ``(when, priority)`` of every entry, and
+        equal-timestamp events arrive consecutively in (priority, eid)
+        order either way.
         """
         sanitizer = self.sanitizer
         pop_entry = self._pop_entry

@@ -76,11 +76,6 @@ class PBPLSystem:
         self.metrics = metrics
         cores = list(consumer_cores) if consumer_cores else [0]
         slot = self.config.effective_slot_size()
-        # The slot grid is the dominant event cadence of a PBPL rig:
-        # every manager latch, batch drain and deadline check lands on a
-        # slot boundary. Telling the calendar queue about Δ sizes its
-        # buckets so one boundary's fan-out drains as one batch.
-        env.hint_slot_width(slot)
 
         self.pool = GlobalBufferPool(
             self.config.buffer_size, len(traces), metrics=metrics

@@ -56,7 +56,7 @@ REGRESSION_TOLERANCE = 0.20
 #: Allowed slowdown of the PBPL smoke with an *active* metrics registry
 #: vs the NullRegistry default — the "disabled telemetry is free,
 #: enabled telemetry is cheap" contract, enforced by ``repro bench``.
-#: Re-based from 5 % to 15 % with the calendar-queue kernel (DESIGN.md
+#: Re-based from 5 % to 15 % with the batched-kernel speedups (DESIGN.md
 #: §13), two effects stacked: (1) the absolute instrumentation cost is
 #: unchanged (~0.3 µs per event of pre-bound counter calls), but the
 #: kernel around it got ~1.8× faster, so the same tax is mechanically
@@ -98,11 +98,11 @@ def _dispatch_batch(until_s: float, n_processes: int = 1000) -> Tuple[float, int
     """Worst-case same-timestamp fan-out: ``n_processes`` tickers all
     latched on one shared period.
 
-    Every tick, every process fires at the *same* timestamp — the
-    calendar queue drains each tick as one sorted batch instead of
-    ``n_processes`` interleaved heap pops. This is the batching shape of
-    a wide PBPL rig (1k consumers waking on one slot boundary) distilled
-    to pure kernel work.
+    Every tick, every process fires at the *same* timestamp, so the
+    queue holds ``n_processes`` entries tied on ``when`` and must
+    dispatch them in (priority, eid) order. This is the shape of a wide
+    PBPL rig (1k consumers waking on one slot boundary) distilled to
+    pure kernel work — a stress row for the event queue's tie-breaking.
     """
 
     def ticker(env: Environment, period: float):
@@ -112,7 +112,6 @@ def _dispatch_batch(until_s: float, n_processes: int = 1000) -> Tuple[float, int
     env = Environment()
     for _ in range(n_processes):
         env.process(ticker(env, 1e-3))
-    env.hint_slot_width(1e-3)
     start = perf_counter()
     env.run(until=until_s)
     wall = perf_counter() - start

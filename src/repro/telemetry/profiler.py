@@ -108,9 +108,9 @@ class KernelProfiler:
     def run(self, env: "Environment", until=None):
         """Mirror of ``Environment.run`` with per-callback timing.
 
-        Drives the calendar queue through its single-event surface
+        Drives the event queue through its single-event surface
         (``peek`` / ``_pop_entry``) — dispatch order and counts stay
-        byte-identical to the batched drain, only the per-callback
+        byte-identical to :meth:`Environment.run`, only the per-callback
         timing wrappers differ.
         """
         pop_entry = env._pop_entry

@@ -98,10 +98,10 @@ def test_report_counts_contended_groups():
 
 
 def test_injected_race_still_flagged_under_batched_dispatch():
-    """Regression for the calendar-queue kernel (DESIGN.md §13): the two
-    racing reserves land mid-burst in one bucket of 102 same-timestamp
-    events, so they dispatch inside a single batched drain — the
-    sanitizer must flag exactly that double-push race, nothing else."""
+    """The two racing reserves land mid-burst among 102 same-timestamp
+    events, so they dispatch back to back inside one timestamp's burst
+    (DESIGN.md §13) — the sanitizer must flag exactly that double-push
+    race, nothing else."""
     env = _sanitized_env()
     track = SlotTrack(0.01)
 

@@ -46,12 +46,11 @@ def run(kind: str):
     machine = Machine(env, n_cores=2, streams=streams)
     model = PowerModel()
     ledger = EnergyLedger(env, model)
-    attributor = EnergyAttributor(env, model)
     machine.add_listener(ledger)
-    machine.add_listener(attributor)
     for core in machine.cores:
         ledger.watch(core)
-        attributor.watch(core)
+    attributor = ledger.add_sink(EnergyAttributor(ledger))
+    machine.add_listener(attributor)
 
     traces = build_event_streams(streams)
     common = dict(

@@ -451,8 +451,9 @@ def cmd_waveform(args: argparse.Namespace) -> int:
 
     params = _params(args)
     rig = Rig.build(params, 0)
-    timeline = PowerTimeline(rig.env, rig.model, [rig.machine.core(CONSUMER_CORE)])
-    rig.machine.core(CONSUMER_CORE).add_listener(timeline)
+    timeline = rig.ledger.add_sink(
+        PowerTimeline([rig.machine.core(CONSUMER_CORE)])
+    )
     traces = phase_shifted_traces(params.trace(rig.streams), args.consumers)
     if args.impl == "PBPL":
         PBPLSystem(

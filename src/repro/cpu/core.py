@@ -89,8 +89,8 @@ class Core:
         self._idle_since: Optional[float] = None
         self._listeners: list[CoreListener] = []
         # Interest-based dispatch: per-hook lists holding only listeners
-        # that *override* the hook. A listener subscribing for wakeups
-        # (e.g. the telemetry PowerCollector) then costs nothing on the
+        # that *override* the hook. A listener subscribing for
+        # transitions (e.g. the energy ledger) then costs nothing on the
         # much hotter execute/yield paths — the loops there iterate
         # empty lists instead of calling inherited no-ops.
         self._on_state_change: list[CoreListener] = []

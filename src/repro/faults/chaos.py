@@ -293,9 +293,7 @@ def run_scenario(
     cores = list(scenario.consumer_cores)
     collector = None
     if metrics is not None:
-        collector = PowerCollector(metrics, rig.model)
-        for core in rig.machine.cores:
-            collector.watch(core, now=rig.env.now)
+        collector = rig.ledger.add_sink(PowerCollector(metrics))
 
     if impl == "PBPL":
         overrides = dict(
@@ -347,7 +345,7 @@ def run_scenario(
     stats = system.aggregate_stats()
     rig.ledger.settle()
     if collector is not None:
-        collector.settle(rig.env.now)
+        rig.ledger.remove_sink(collector)
     if plan and stats.last_miss_s > float("-inf"):
         last_end = min(plan.last_fault_end_s, params.duration_s)
         recovery_s = max(0.0, stats.last_miss_s - last_end)

@@ -144,7 +144,7 @@ def _pbpl_metrics_smoke(duration_s: float, seed: int = 2014, n_consumers: int = 
     Identical wiring to :func:`_pbpl_smoke` plus a live
     :class:`~repro.telemetry.registry.MetricsRegistry` threaded through
     the system and a :class:`~repro.telemetry.collectors.PowerCollector`
-    watching every core — the full instrumented hot path, no windows
+    view of the energy ledger — the full instrumented hot path, no windows
     (window flushes would add events and change the workload). The
     events/sec ratio against the null run is the ``metrics_overhead``
     gate.
@@ -155,9 +155,7 @@ def _pbpl_metrics_smoke(duration_s: float, seed: int = 2014, n_consumers: int = 
     params = StandardParams(duration_s=duration_s, seed=seed)
     rig = Rig.build(params, 0)
     registry = MetricsRegistry()
-    collector = PowerCollector(registry, rig.model)
-    for core in rig.machine.cores:
-        collector.watch(core)
+    collector = rig.ledger.add_sink(PowerCollector(registry))
     traces = phase_shifted_traces(base_trace(params, 0), n_consumers)
     PBPLSystem(
         rig.env,
@@ -170,7 +168,7 @@ def _pbpl_metrics_smoke(duration_s: float, seed: int = 2014, n_consumers: int = 
     start = perf_counter()
     rig.env.run(until=params.duration_s)
     wall = perf_counter() - start
-    collector.settle(rig.env.now)
+    rig.ledger.remove_sink(collector)
     return wall, rig.env.events_processed
 
 

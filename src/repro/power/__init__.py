@@ -5,7 +5,9 @@ Three layers:
 * :class:`~repro.power.model.PowerModel` — what each core state draws
   (Section II physics: ``Pd = C·V²·f``, idle residuals, wakeup cost ω);
 * :class:`~repro.power.ledger.EnergyLedger` — exact integration of that
-  model over the simulated core timelines;
+  model over the simulated core timelines, the one integrator; every
+  other energy account (attribution, waveform, trace, registry) is a
+  :class:`~repro.power.ledger.LedgerSink` view of its segments;
 * :mod:`~repro.power.instruments` — the paper's two measurement paths
   (PowerTop analogue; shunt-resistor + oscilloscope analogue) with
   realistic noise, layered on the ledger.
@@ -24,7 +26,7 @@ from repro.power.instruments import (
     PowerTopRow,
     ScopeMeasurement,
 )
-from repro.power.ledger import EnergyBreakdown, EnergyLedger
+from repro.power.ledger import EnergyBreakdown, EnergyLedger, LedgerSink
 from repro.power.timeline import PowerTimeline, WaveformPoint
 from repro.power.model import PowerModel
 
@@ -35,6 +37,7 @@ __all__ = [
     "OwnerEnergy",
     "SYSTEM",
     "EnergyLedger",
+    "LedgerSink",
     "Oscilloscope",
     "PowerModel",
     "PowerTop",

@@ -10,24 +10,23 @@ event stream:
 * wakeup energy ω — charged to the owner whose dispatch woke the core;
 * idle (and baseline) energy — left unattributed as "system".
 
-Attribution is exact (it integrates the same model the ledger does), so
-the per-owner shares always sum to the machine total — a property the
-tests pin down. The experiment harness uses it to answer questions the
-paper's per-implementation bars cannot, e.g. *which consumer* of a
-heterogeneous set is responsible for the wakeup bill.
+Attribution is exact: idle joules and ω come from the ledger's own
+segments and active slices use the same power model, so the shares sum
+to the machine total, short only of active time that falls outside
+every execution slice — properties the tests pin down. The experiment
+harness uses it to answer questions the paper's per-implementation bars
+cannot, e.g. *which consumer* of a heterogeneous set is responsible for
+the wakeup bill.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.cpu.core import Core
 from repro.cpu.listeners import CoreListener
-from repro.power.model import PowerModel
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.environment import Environment
+from repro.power.ledger import EnergyLedger, LedgerSink
 
 #: Owner key for energy not caused by any tracked task.
 SYSTEM = "<system>"
@@ -84,39 +83,39 @@ class AttributionReport:
         return ranked[:n]
 
 
-class EnergyAttributor(CoreListener):
+class EnergyAttributor(CoreListener, LedgerSink):
     """Attributes energy to task owners from core activity events.
 
-    Attach alongside the :class:`~repro.power.ledger.EnergyLedger`::
+    A core listener for execution slices (priced per owner here) and a
+    ledger sink for wakeups and the idle residual::
 
-        attributor = EnergyAttributor(env, model)
+        attributor = EnergyAttributor(ledger)
         machine.add_listener(attributor)
+        ledger.add_sink(attributor)
         ...
         report = attributor.report()
     """
 
-    def __init__(self, env: "Environment", model: PowerModel) -> None:
-        self.env = env
-        self.model = model
-        self._start = env.now
+    def __init__(self, ledger: EnergyLedger) -> None:
+        self.ledger = ledger
+        self.env = ledger.env
+        self.model = ledger.model
+        self._start = self.env.now
         self._owners: Dict[Any, OwnerEnergy] = {}
         self._idle_j = 0.0
-        # Per-core open idle segment for idle-energy integration.
-        self._idle_since: Dict[int, tuple[float, float]] = {}
 
     def _owner(self, owner: Any) -> OwnerEnergy:
         if owner not in self._owners:
             self._owners[owner] = OwnerEnergy()
         return self._owners[owner]
 
-    def watch(self, core: Core) -> None:
-        """Start idle accounting for ``core`` immediately (cores begin
-        idle before any state-change event fires)."""
-        if core.is_idle and core.cstate is not None:
-            self._idle_since[core.core_id] = (
-                self.env.now,
-                self.model.idle_power_w(core.cstate),
-            )
+    def _open_idle_j(self, at: float, idle: float = 0.0) -> float:
+        """``idle`` plus the joules of the still-open idle segments up
+        to ``at``."""
+        for seg in self.ledger.open_segments(at):
+            if not seg.active:
+                idle += seg.energy_j
+        return idle
 
     # -- listener hooks ----------------------------------------------------
     def on_execute(self, core: Core, now: float, owner: Any, duration: float) -> None:
@@ -126,27 +125,24 @@ class EnergyAttributor(CoreListener):
         # P-state changes (the core re-selects at slice starts).
         entry.active_j += self.model.active_power_w(core.pstate) * duration
 
-    def on_wakeup(self, core: Core, now: float, owner: Any, from_cstate) -> None:
+    # -- ledger sink hooks ---------------------------------------------------
+    def wakeup_charged(self, core_id, t, owner, from_cstate, energy_j) -> None:
         entry = self._owner(owner)
-        entry.wakeup_j += self.model.wakeup_energy_j
+        entry.wakeup_j += energy_j
         entry.wakeups += 1
 
-    def on_state_change(self, core, now, old_state, new_state, cstate, pstate) -> None:
-        # Integrate idle-residual energy as unattributed "system" draw.
-        if old_state in ("idle", "parked") and core.core_id in self._idle_since:
-            since, power = self._idle_since.pop(core.core_id)
-            self._idle_j += power * (now - since)
-        if new_state in ("idle", "parked") and cstate is not None:
-            self._idle_since[core.core_id] = (now, self.model.idle_power_w(cstate))
+    def segment_closed(self, core_id, t0, t1, label, power_w, active, energy_j) -> None:
+        # Idle-residual energy is unattributed "system" draw.
+        if not active:
+            self._idle_j += energy_j
 
     # -- reporting ------------------------------------------------------------
     def reset(self) -> None:
         """Restart the observation window now."""
         self._start = self.env.now
         self._owners.clear()
-        self._idle_j = 0.0
-        for core_id, (since, power) in list(self._idle_since.items()):
-            self._idle_since[core_id] = (self.env.now, power)
+        # Open idle segments close whole, so debit the part before now.
+        self._idle_j = -self._open_idle_j(self._start)
 
     def report(self, now: Optional[float] = None) -> AttributionReport:
         """Snapshot the attribution over [window start, now]."""
@@ -154,11 +150,9 @@ class EnergyAttributor(CoreListener):
         duration = at - self._start
         if duration <= 0:
             raise ValueError("empty attribution window")
-        idle = self._idle_j
-        for since, power in self._idle_since.values():
-            idle += power * (at - since)
         owners = {
             k: OwnerEnergy(v.active_j, v.wakeup_j, v.wakeups, v.busy_s)
             for k, v in self._owners.items()
         }
+        idle = self._open_idle_j(at, self._idle_j)
         return AttributionReport(duration_s=duration, owners=owners, idle_j=idle)

@@ -14,16 +14,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cpu.core import Core
-from repro.cpu.listeners import CoreListener
-from repro.power.model import PowerModel
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.environment import Environment
+from repro.power.ledger import LedgerSink
 
 
 @dataclass(frozen=True)
@@ -32,43 +28,43 @@ class WaveformPoint:
     power_w: float
 
 
-class PowerTimeline(CoreListener):
-    """Records the machine's instantaneous power as a step function."""
+class PowerTimeline(LedgerSink):
+    """Records the machine's instantaneous power as a step function.
+
+    A view over the :class:`~repro.power.ledger.EnergyLedger`: attach
+    with ``ledger.add_sink(timeline)``, which also records the initial
+    level. Only ``cores`` count towards the waveform.
+    """
 
     def __init__(
-        self,
-        env: "Environment",
-        model: PowerModel,
-        cores: Sequence[Core],
-        max_steps: Optional[int] = 100_000,
+        self, cores: Sequence[Core], max_steps: Optional[int] = 100_000
     ) -> None:
-        self.env = env
-        self.model = model
-        self.cores = tuple(cores)
         self.max_steps = max_steps
-        self._times: List[float] = [env.now]
-        self._powers: List[float] = [self._instantaneous()]
+        # Current draw per recorded core, in the order given.
+        self._level: Dict[int, float] = dict.fromkeys(
+            (core.core_id for core in cores), 0.0
+        )
+        self._times: List[float] = []
+        self._powers: List[float] = []
         #: (time, ω) impulses from wakeups.
         self.impulses: List[Tuple[float, float]] = []
 
-    def _instantaneous(self) -> float:
-        return sum(self.model.core_power_w(core) for core in self.cores)
-
-    # -- listener hooks ----------------------------------------------------
-    def on_state_change(self, core, now, old_state, new_state, cstate, pstate) -> None:
-        if core not in self.cores:
+    # -- ledger sink hooks -------------------------------------------------
+    def segment_opened(self, core_id, t, label, power_w, active) -> None:
+        if core_id not in self._level:
             return
-        power = self._instantaneous()
-        if self._times[-1] == now:
+        self._level[core_id] = power_w
+        power = sum(self._level.values())
+        if self._times and self._times[-1] == t:
             self._powers[-1] = power
         else:
-            self._times.append(now)
+            self._times.append(t)
             self._powers.append(power)
             self._maybe_downsample()
 
-    def on_wakeup(self, core, now, owner, from_cstate) -> None:
-        if core in self.cores:
-            self.impulses.append((now, self.model.wakeup_energy_j))
+    def wakeup_charged(self, core_id, t, owner, from_cstate, energy_j) -> None:
+        if core_id in self._level:
+            self.impulses.append((t, energy_j))
 
     def _maybe_downsample(self) -> None:
         if self.max_steps is None or len(self._times) <= self.max_steps:

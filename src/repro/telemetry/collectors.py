@@ -1,149 +1,73 @@
-"""Registry-backed collectors for cpu/power accounting.
+"""Registry-backed views of the energy ledger.
 
-:class:`PowerCollector` is a :class:`repro.cpu.listeners.CoreListener`
-that accumulates the same piecewise-constant integration the
-:class:`repro.power.ledger.EnergyLedger` performs — but *independently*,
-into registry counters (``energy_joules_total`` by phase,
-``cstate_residency_seconds_total`` by C-state, ``core_wakeups_total``).
-Because the two paths never share state, the reconciliation tests
-comparing their totals to <1e-9 J are a real cross-check, the same role
-the ledger itself plays for the PowerTop/oscilloscope instruments.
+:class:`PowerCollector` is a :class:`repro.power.ledger.LedgerSink`:
+registered with ``ledger.add_sink``, it folds the segments the
+:class:`repro.power.ledger.EnergyLedger` closes into registry counters
+(``energy_joules_total`` by phase, ``cstate_residency_seconds_total`` by
+C-state, ``core_wakeups_total``). It prices nothing itself, so the
+registry's joules are the ledger's joules; the independent audit of the
+ledger lives in the test suite (``tests/power/test_energy_views.py``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Tuple
+from typing import Callable, Dict, Tuple
 
-from repro.cpu.listeners import CoreListener
+from repro.power.ledger import LedgerSink
 from repro.telemetry.registry import MetricsRegistry
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cpu.core import Core
-    from repro.power.model import PowerModel
 
-#: An open accounting segment: (since, power_w, inc_energy, inc_residency).
-#: The bound ``Counter.inc`` callables are resolved when the segment
-#: opens, so closing it — the per-transition hot path — is two float ops
-#: and two calls with no dict or attribute lookups in between.
-_Segment = Tuple[float, float, Callable, Callable]
-
-
-class PowerCollector(CoreListener):
+class PowerCollector(LedgerSink):
     """Mirrors energy/residency/wakeup accounting into a registry."""
 
-    def __init__(self, registry: MetricsRegistry, model: "PowerModel") -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self.model = model
-        self._wakeup_j = model.wakeup_energy_j
-        self._open: Dict[int, _Segment] = {}
-        self._inc_energy: Dict[Tuple[int, str], Callable] = {}
-        self._inc_residency: Dict[Tuple[int, str], Callable] = {}
+        # (core_id, state label) → (energy inc, residency inc): the bound
+        # ``Counter.inc`` callables are resolved when a situation first
+        # opens, so closing a segment — the per-transition hot path — is
+        # one dict hit and two calls.
+        self._incs: Dict[Tuple[int, str], Tuple[Callable, Callable]] = {}
         self._inc_wakeup: Dict[int, Tuple[Callable, Callable]] = {}
-        # (core_id, pstate-or-cstate) → (power_w, inc_energy,
-        # inc_residency): the P-/C-state tables are small and fixed, so
-        # every distinct accounting situation is computed once and a
-        # segment reopen is a single dict hit.
-        self._seg_cache: Dict[Tuple[int, object], Tuple[float, Callable, Callable]] = {}
 
-    # -- instrument caches ------------------------------------------------
     def _energy_inc(self, core_id: int, phase: str) -> Callable:
-        key = (core_id, phase)
-        inc = self._inc_energy.get(key)
-        if inc is None:
-            inc = self.registry.counter(
-                "energy_joules_total",
-                help="Exact integrated energy by phase (mirrors the ledger).",
-                core=str(core_id),
-                phase=phase,
-            ).inc
-            self._inc_energy[key] = inc
-        return inc
+        return self.registry.counter(
+            "energy_joules_total",
+            help="Exact integrated energy by phase (mirrors the ledger).",
+            core=str(core_id),
+            phase=phase,
+        ).inc
 
-    def _residency_inc(self, core_id: int, label: str) -> Callable:
+    # -- ledger sink hooks --------------------------------------------------
+    def segment_opened(self, core_id, t, label, power_w, active) -> None:
         key = (core_id, label)
-        inc = self._inc_residency.get(key)
-        if inc is None:
-            inc = self.registry.counter(
-                "cstate_residency_seconds_total",
-                help="Virtual seconds spent per core state.",
-                core=str(core_id),
-                state=label,
-            ).inc
-            self._inc_residency[key] = inc
-        return inc
-
-    # -- ledger-mirroring accumulation ------------------------------------
-    def _reopen(self, core: "Core", now: float) -> None:
-        active = core.state == "active"
-        key = (core.core_id, core.pstate if active else core.cstate)
-        seg = self._seg_cache.get(key)
-        if seg is None:
-            # Branch once: the phase decides the power table, the
-            # energy phase label and the residency label together.
-            if active:
-                phase = label = "active"
-                power = self.model.active_power_w(core.pstate)
-            else:
-                phase, label = "idle", core.cstate.name
-                power = self.model.idle_power_w(core.cstate)
-            seg = (
-                power,
-                self._energy_inc(core.core_id, phase),
-                self._residency_inc(core.core_id, label),
+        if key not in self._incs:
+            self._incs[key] = (
+                self._energy_inc(core_id, "active" if active else "idle"),
+                self.registry.counter(
+                    "cstate_residency_seconds_total",
+                    help="Virtual seconds spent per core state.",
+                    core=str(core_id),
+                    state=label,
+                ).inc,
             )
-            self._seg_cache[key] = seg
-        self._open[core.core_id] = (now,) + seg
 
-    def _ensure(self, core: "Core", now: float) -> None:
-        if core.core_id not in self._open:
-            self._reopen(core, now)
+    def segment_closed(self, core_id, t0, t1, label, power_w, active, energy_j) -> None:
+        inc_energy, inc_residency = self._incs[core_id, label]
+        inc_energy(energy_j)
+        inc_residency(t1 - t0)
 
-    def _accrue(self, core: "Core", now: float) -> None:
-        seg = self._open.get(core.core_id)
-        if seg is None:
-            self._reopen(core, now)
-            return
-        since, power, inc_energy, inc_residency = seg
-        dt = now - since
-        if dt > 0:
-            inc_energy(power * dt)
-            inc_residency(dt)
-        self._reopen(core, now)
-
-    # -- listener hooks ---------------------------------------------------
-    def on_state_change(self, core, now, old_state, new_state, cstate, pstate) -> None:
-        self._accrue(core, now)
-
-    def on_wakeup(self, core, now, owner, from_cstate) -> None:
-        self._ensure(core, now)
-        pair = self._inc_wakeup.get(core.core_id)
+    def wakeup_charged(self, core_id, t, owner, from_cstate, energy_j) -> None:
+        pair = self._inc_wakeup.get(core_id)
         if pair is None:
             pair = (
-                self._energy_inc(core.core_id, "wakeup"),
+                self._energy_inc(core_id, "wakeup"),
                 self.registry.counter(
                     "core_wakeups_total",
                     help="Idle-to-active transitions per core.",
-                    core=str(core.core_id),
+                    core=str(core_id),
                 ).inc,
             )
-            self._inc_wakeup[core.core_id] = pair
+            self._inc_wakeup[core_id] = pair
         inc_joules, inc_count = pair
-        inc_joules(self._wakeup_j)
+        inc_joules(energy_j)
         inc_count()
-
-    # -- lifecycle --------------------------------------------------------
-    def watch(self, core: "Core", now: float = 0.0) -> None:
-        """Subscribe to ``core`` and start its open segment at ``now``."""
-        core.add_listener(self)
-        self._ensure(core, now)
-
-    def settle(self, now: float) -> None:
-        """Close every open segment up to ``now`` (call at run end)."""
-        for core_id, (since, power, inc_energy, inc_residency) in list(
-            self._open.items()
-        ):
-            dt = now - since
-            if dt > 0:
-                inc_energy(power * dt)
-                inc_residency(dt)
-                self._open[core_id] = (now, power, inc_energy, inc_residency)

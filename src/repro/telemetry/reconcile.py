@@ -1,9 +1,12 @@
-"""Reconciliation of registry totals against independent references.
+"""Reconciliation of registry totals against the harness's own accounts.
 
 Counters are only trustworthy if they agree with the accounting the
 rest of the harness already believes: the aggregated
 :class:`repro.impls.base.PairStats`, the consumer core's wakeup count,
 and — to <1e-9 J — the exact :class:`repro.power.ledger.EnergyLedger`.
+The registry's joules are a view of the ledger's segments, so the
+energy check guards that wiring; the independent cross-check of the
+ledger itself is ``tests/power/test_energy_views.py``.
 ``repro metrics snapshot`` prints this check table and exits non-zero
 on any mismatch; the unit tests assert the same invariants.
 """
@@ -76,7 +79,8 @@ def reconcile_counters(snapshot: MetricsSnapshot, stats) -> List[ReconcileCheck]
 def reconcile_energy(
     snapshot: MetricsSnapshot, total_energy_j: float, tol_j: float = 1e-9
 ) -> List[ReconcileCheck]:
-    """Independently-integrated joules vs the exact power ledger."""
+    """Registry joules (the ledger's segments, summed per series) vs the
+    ledger's own total."""
     return [
         ReconcileCheck(
             "energy_joules_total == ledger total",

@@ -1,12 +1,14 @@
 """Trace-driven power attribution: join spans against the power record.
 
-The :class:`~repro.trace.power.TracePowerListener` writes each core's
-exact residency segments (with per-segment joules) and wakeup charges
-into the trace. This module turns that record into answers:
+The :class:`~repro.trace.power.TracePowerListener` writes the energy
+ledger's residency segments (with the ledger's per-segment joules) and
+wakeup charges into the trace. This module turns that record into
+answers:
 
 * :func:`trace_energy_j` — total joules in the trace (must reconcile
   with :meth:`repro.power.ledger.EnergyLedger.total_energy_j` to within
-  float-summation noise; the CLI smoke gate enforces 1e-9);
+  float-summation noise — the ledger splits its own sums at mid-run
+  settles, the trace never does; the CLI smoke gate enforces 1e-9);
 * :func:`energy_by_track` — the same, split per core track;
 * :func:`attribute_span` / :func:`attribute_spans` — energy of an
   arbitrary activity span (a consumer batch, a fired slot, a fault

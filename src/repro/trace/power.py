@@ -1,36 +1,31 @@
 """Core power/state instrumentation for the tracer.
 
-:class:`TracePowerListener` subscribes to core transitions (the same
-:class:`~repro.cpu.listeners.CoreListener` protocol the energy ledger
-uses) and writes the power story onto per-core tracks:
+:class:`TracePowerListener` is a view over the
+:class:`~repro.power.ledger.EnergyLedger`: registered with
+``ledger.add_sink``, it writes the segments the ledger closes onto
+per-core tracks:
 
 * one **span per residency segment** — ``active`` or the C-state name —
-  carrying the segment's power draw and its exact energy
-  (``power_w × dur``), integrated identically to the
-  :class:`~repro.power.ledger.EnergyLedger`;
+  carrying the segment's power draw and the ledger's joules for it;
 * one **instant per wakeup**, carrying the wakeup energy ω and the
   owner whose dispatch woke the core;
-* a **power counter** stepped at every transition, so trace viewers
-  draw the machine's power waveform (the paper's Fig. 1) directly.
+* a **power counter** stepped whenever a core's draw changes, so trace
+  viewers draw the machine's power waveform (the paper's Fig. 1)
+  directly.
 
-Because segments and wakeup charges mirror the ledger's accrual, the
-sum of ``energy_j`` over a core's trace equals the ledger's per-core
-total — :mod:`repro.trace.energy` exploits that to reconcile the trace
-against the ledger and to attribute energy to arbitrary spans.
+Because every span and wakeup charge comes from the ledger, the sum of
+``energy_j`` over a core's trace equals the ledger's per-core total —
+:mod:`repro.trace.energy` exploits that to reconcile the trace against
+the ledger and to attribute energy to arbitrary spans.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import Any, Dict
 
-from repro.cpu.core import Core
 from repro.cpu.cstates import CState
-from repro.cpu.listeners import CoreListener
-from repro.power.model import PowerModel
+from repro.power.ledger import LedgerSink
 from repro.trace.tracer import Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.environment import Environment
 
 #: Event category for residency spans (the energy-carrying ones).
 RESIDENCY = "core.state"
@@ -45,80 +40,40 @@ def core_track(core_id: int) -> str:
     return f"core{core_id}"
 
 
-class TracePowerListener(CoreListener):
-    """Mirrors core residency segments into the tracer, with energy.
+class TracePowerListener(LedgerSink):
+    """Mirrors the ledger's residency segments into the tracer.
 
-    Attach with ``machine.add_listener(listener)`` and call
-    :meth:`watch` per core before running (cores start idle without an
-    initial transition event). Call :meth:`finalize` after the run to
-    close the open segments — until then the last segment of each core
+    Attach with ``ledger.add_sink(listener)`` before running, and close
+    it with ``ledger.remove_sink(listener)`` after the run (before
+    ``tracer.finalize()``) — until then the last segment of each core
     is missing from the trace.
     """
 
-    def __init__(self, env: "Environment", model: PowerModel, tracer: Tracer) -> None:
-        self.env = env
-        self.model = model
+    def __init__(self, tracer: Tracer) -> None:
         self.tracer = tracer
-        # Open segment per core: (since, power_w, label, is_active)
-        self._open: Dict[int, Tuple[float, float, str, bool]] = {}
+        # Last power_w counter value per core (the counter only steps on
+        # a change of draw).
+        self._level: Dict[int, float] = {}
 
-    @staticmethod
-    def _label(core: Core) -> str:
-        if core.state == "active":
-            return "active"
-        assert core.cstate is not None
-        return core.cstate.name
+    def segment_opened(self, core_id, t, label, power_w, active) -> None:
+        if self._level.get(core_id) != power_w:
+            self._level[core_id] = power_w
+            self.tracer.counter(core_track(core_id), "power_w", power_w, POWER)
 
-    def watch(self, core: Core) -> None:
-        """Open the initial segment for ``core`` at the current time."""
-        if core.core_id not in self._open:
-            power = self.model.core_power_w(core)
-            self._open[core.core_id] = (
-                self.env.now, power, self._label(core), core.state == "active",
-            )
-            self.tracer.counter(core_track(core.core_id), "power_w", power, POWER)
-
-    def _roll(self, core: Core, now: float) -> None:
-        """Close the open segment and start the next at ``now``."""
-        self.watch(core)
-        since, power, label, active = self._open[core.core_id]
-        track = core_track(core.core_id)
-        if now > since:
-            self.tracer.complete(
-                track, label, since, now, RESIDENCY,
-                power_w=power, energy_j=power * (now - since), active=active,
-            )
-        new_power = self.model.core_power_w(core)
-        self._open[core.core_id] = (
-            now, new_power, self._label(core), core.state == "active",
+    def segment_closed(self, core_id, t0, t1, label, power_w, active, energy_j) -> None:
+        self.tracer.complete(
+            core_track(core_id), label, t0, t1, RESIDENCY,
+            power_w=power_w, energy_j=energy_j, active=active,
         )
-        if new_power != power:
-            self.tracer.counter(track, "power_w", new_power, POWER)
 
-    # -- listener hooks ---------------------------------------------------------
-    def on_state_change(
-        self, core, now, old_state, new_state, cstate, pstate
+    def wakeup_charged(
+        self, core_id, t, owner: Any, from_cstate: CState, energy_j
     ) -> None:
-        self._roll(core, now)
-
-    def on_wakeup(self, core, now, owner: Any, from_cstate: CState) -> None:
         self.tracer.instant(
-            core_track(core.core_id),
+            core_track(core_id),
             "wakeup",
             WAKEUP,
             owner=str(owner),
             from_cstate=from_cstate.name,
-            energy_j=self.model.wakeup_energy_j,
+            energy_j=energy_j,
         )
-
-    # -- lifecycle ----------------------------------------------------------------
-    def finalize(self, now: Optional[float] = None) -> None:
-        """Close every core's open segment at ``now`` (default: sim time)."""
-        at = self.env.now if now is None else now
-        for core_id, (since, power, label, active) in list(self._open.items()):
-            if at > since:
-                self.tracer.complete(
-                    core_track(core_id), label, since, at, RESIDENCY,
-                    power_w=power, energy_j=power * (at - since), active=active,
-                )
-            self._open[core_id] = (at, power, label, active)

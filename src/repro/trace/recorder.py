@@ -2,7 +2,8 @@
 
 One entry point, :func:`record_run`, builds a fully instrumented rig
 (the same :class:`~repro.harness.runner.Rig` the figures use), attaches
-a :class:`~repro.trace.tracer.Tracer` plus the power listener, runs the
+a :class:`~repro.trace.tracer.Tracer` plus the power view of the rig's
+energy ledger, runs the
 chosen implementation under the chosen scenario, and returns the trace
 together with the exact ledger totals — so callers (the ``repro trace``
 CLI, the determinism tests, the smoke gate) can export and reconcile
@@ -117,8 +118,8 @@ def record_run(
 
     ``metrics`` threads a :class:`~repro.telemetry.registry.
     MetricsRegistry` through the whole rig (instrumented kernel objects
-    plus a :class:`~repro.telemetry.collectors.PowerCollector` watching
-    every core); ``window_s`` additionally arms tumbling-window
+    plus a :class:`~repro.telemetry.collectors.PowerCollector` view of
+    the energy ledger); ``window_s`` additionally arms tumbling-window
     aggregation, and ``profiler`` (a :class:`~repro.telemetry.profiler.
     KernelProfiler`) drives the run through the self-profiling event
     loop instead of ``env.run``.
@@ -133,18 +134,14 @@ def record_run(
     tracer = Tracer(rig.env, capacity=capacity)
     if stream is not None:
         stream.attach(tracer)
-    power_listener = TracePowerListener(rig.env, rig.model, tracer)
-    rig.machine.add_listener(power_listener)
-    for core in rig.machine.cores:
-        power_listener.watch(core)
+    # The trace's power spans and the registry's energy counters are
+    # both views of the rig's ledger: it closes each segment once and
+    # hands it to them, so they price nothing themselves.
+    power_listener = rig.ledger.add_sink(TracePowerListener(tracer))
     collector = None
     windows = None
     if metrics is not None:
-        # Independent energy accrual (not a ledger read-through): its
-        # joules reconcile with the EnergyLedger to <1e-9 J by test.
-        collector = PowerCollector(metrics, rig.model)
-        for core in rig.machine.cores:
-            collector.watch(core, now=rig.env.now)
+        collector = rig.ledger.add_sink(PowerCollector(metrics))
         if window_s is not None:
             windows = TumblingWindows(rig.env, metrics, window_s).start()
 
@@ -239,13 +236,16 @@ def record_run(
         profiler.run(rig.env, until=duration_s)
     else:
         rig.env.run(until=duration_s)
-    power_listener.finalize()
+    # The trace's last spans must land before finalize() closes it; the
+    # registry's tail comes after the final window frame, which (like
+    # every frame) holds only segments closed by real transitions.
+    rig.ledger.remove_sink(power_listener)
     tracer.finalize()
     rig.ledger.settle()
     if windows is not None:
         windows.finalize(rig.env.now)
     if collector is not None:
-        collector.settle(rig.env.now)
+        rig.ledger.remove_sink(collector)
 
     return RecordedRun(
         tracer=tracer,

@@ -17,12 +17,11 @@ def make_rig(wakeup_energy_j=1e-3, idle_w=0.1):
     model = PowerModel(
         capacitance_f=1e-9, static_active_w=0.0, wakeup_energy_j=wakeup_energy_j
     )
-    attributor = EnergyAttributor(env, model)
     ledger = EnergyLedger(env, model)
-    core.add_listener(attributor)
     core.add_listener(ledger)
-    attributor.watch(core)
     ledger.watch(core)
+    attributor = ledger.add_sink(EnergyAttributor(ledger))
+    core.add_listener(attributor)
     return env, core, model, attributor, ledger
 
 
@@ -159,10 +158,12 @@ def test_attribution_through_pbpl_system():
     streams = RandomStreams(seed=5)
     machine = Machine(env, n_cores=1, streams=streams)
     model = PowerModel()
-    attributor = EnergyAttributor(env, model)
-    machine.add_listener(attributor)
+    ledger = EnergyLedger(env, model)
+    machine.add_listener(ledger)
     for core in machine.cores:
-        attributor.watch(core)
+        ledger.watch(core)
+    attributor = ledger.add_sink(EnergyAttributor(ledger))
+    machine.add_listener(attributor)
     traces = [
         poisson_trace(4000.0, 2.0, streams.stream("hot")),
         poisson_trace(100.0, 2.0, streams.stream("cold")),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cpu import CState, CStateTable, Core, PState, PStateTable
-from repro.power import PowerModel
+from repro.power import EnergyLedger, PowerModel
 from repro.power.timeline import PowerTimeline
 from repro.sim import Environment
 
@@ -16,8 +16,10 @@ def make_rig(max_steps=None):
     pstates = PStateTable([PState("p", 1e9, 1.0)])  # 1 W dynamic
     core = Core(env, 0, cstates, pstates, context_switch_s=0.0)
     model = PowerModel(capacitance_f=1e-9, static_active_w=0.0, wakeup_energy_j=1e-4)
-    timeline = PowerTimeline(env, model, [core], max_steps=max_steps)
-    core.add_listener(timeline)
+    ledger = EnergyLedger(env, model)
+    core.add_listener(ledger)
+    ledger.watch(core)
+    timeline = ledger.add_sink(PowerTimeline([core], max_steps=max_steps))
     return env, core, timeline
 
 

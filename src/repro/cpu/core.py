@@ -202,6 +202,13 @@ class Core:
         how busy-waiting implementations keep a single wakeup alive
         across arbitrarily long polling periods.
         """
+        yield self._request(owner, after_block)
+        latency = self._pending_wake_latency
+        self._pending_wake_latency = 0.0
+        return CoreHold(self, owner, latency, self.context_switch_s)
+
+    def _request(self, owner: Any, after_block: bool) -> Event:
+        """Queue an execution request; returns the grant to wait on."""
         grant = self.env.event()
         self._queue.append((grant, owner, self.env.now))
         if after_block:
@@ -209,10 +216,7 @@ class Core:
                 listener.on_task_wakeup(self, self.env.now, owner)
         if not self._busy:
             self._dispatch()
-        yield grant
-        latency = self._pending_wake_latency
-        self._pending_wake_latency = 0.0
-        return CoreHold(self, owner, latency, self.context_switch_s)
+        return grant
 
     # -- execution: one-shot convenience ------------------------------------------
     def execute(self, owner: Any, cpu_seconds: float, after_block: bool = False):
@@ -228,12 +232,26 @@ class Core:
         so only their first dispatch counts.
 
         Returns the wall-clock duration of the slice.
+
+        One generator frame doing exactly what ``acquire`` →
+        ``hold.busy(cpu_seconds)`` → ``hold.release()`` does, in the
+        same order (same events, same listener calls), without the
+        :class:`CoreHold` or the two nested generators: Mutex and Sem
+        come through here once per consumed item.
         """
         if cpu_seconds < 0:
             raise SimulationError(f"negative cpu time {cpu_seconds!r}")
-        hold = yield from self.acquire(owner, after_block=after_block)
-        duration = yield from hold.busy(cpu_seconds)
-        hold.release()
+        yield self._request(owner, after_block)
+        latency = self._pending_wake_latency
+        self._pending_wake_latency = 0.0
+        if not self._pstate_settled:
+            self._reselect_pstate()
+        duration = self._slice_s(cpu_seconds, latency, self.context_switch_s)
+        if duration > 0:
+            yield self.env.timeout(duration)
+        self._account_busy(owner, duration)
+        self._busy = False
+        self._dispatch()
         return duration
 
     def sched_yield(self, owner: Any, count: int = 1) -> None:
@@ -250,7 +268,16 @@ class Core:
                 return True
         return False
 
-    # -- accounting helpers (used by CoreHold) -----------------------------------
+    # -- accounting helpers (used by execute and CoreHold) -----------------------
+    def _slice_s(self, cpu_seconds: float, latency_s: float, ctx_s: float) -> float:
+        """Wall-clock length of a slice of ``cpu_seconds`` at the current
+        P-state, plus a pending wake latency and context switch."""
+        speed = self.pstates.speedup(self.pstate)
+        # Most hold slices carry no pending wake/dispatch cost.
+        if latency_s or ctx_s:
+            return latency_s + ctx_s / speed + cpu_seconds / speed
+        return cpu_seconds / speed
+
     def _reselect_pstate(self) -> None:
         if self._pstate_settled:
             return
@@ -335,12 +362,6 @@ class CoreHold:
         self._ctx_s = ctx_s  # CPU-time dispatch overhead, once
         self._released = False
 
-    def _startup(self, speed: float) -> float:
-        startup = self._latency_s + self._ctx_s / speed
-        self._latency_s = 0.0
-        self._ctx_s = 0.0
-        return startup
-
     def _check_live(self) -> None:
         if self._released:
             raise SimulationError("operation on a released CoreHold")
@@ -358,15 +379,9 @@ class CoreHold:
             raise SimulationError(f"negative cpu time {cpu_seconds!r}")
         core = self.core
         core._reselect_pstate()
-        speed = core.pstates.speedup(core.pstate)
-        # Inlined _startup(): most slices carry no pending wake/dispatch
-        # cost, and this runs once per consumed item.
-        if self._latency_s or self._ctx_s:
-            duration = self._latency_s + self._ctx_s / speed + cpu_seconds / speed
-            self._latency_s = 0.0
-            self._ctx_s = 0.0
-        else:
-            duration = cpu_seconds / speed
+        duration = core._slice_s(cpu_seconds, self._latency_s, self._ctx_s)
+        self._latency_s = 0.0
+        self._ctx_s = 0.0
         if duration > 0:
             yield core.env.timeout(duration)
         core._account_busy(self.owner, duration)

@@ -109,11 +109,13 @@ class PCImplementation:
             yield self._space_event
 
     def _record_consumed(self, produced_t: float) -> None:
+        now = self.env.now
         self.stats.consumed += 1
         self.stats.record_latency(
-            self.env.now - produced_t,
+            now - produced_t,
             self.config.max_response_latency_s,
             self.config.track_latencies,
+            now_s=now,
         )
 
     # -- lifecycle -------------------------------------------------------------

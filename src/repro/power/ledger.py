@@ -167,16 +167,32 @@ class EnergyLedger(CoreListener):
             sink.segment_opened(core_id, now, label, power, active)
 
     def on_state_change(self, core, now, old_state, new_state, cstate, pstate) -> None:
+        # The hottest power hook (two calls per Mutex/Sem wakeup):
+        # _accrue and the _price cache hit are inlined, same float
+        # operations in the same order.
         core_id = core.core_id
-        seg = self._open.get(core_id)
-        if seg is None:
+        try:
+            seg = self._open[core_id]
+        except KeyError:
             self.watch(core)
             seg = self._open[core_id]
         t0, since, power, label, active = seg
         energy = 0.0
         if now > since:
-            energy = self._accrue(core_id, power, label, active, now - since)
-        new_power, new_label, new_active = self._price(core)
+            dt = now - since
+            breakdown = self._per_core[core_id]
+            energy = power * dt
+            if active:
+                breakdown.active_j += energy
+            else:
+                breakdown.idle_j += energy
+            residency = breakdown.residency_s
+            residency[label] = residency.get(label, 0.0) + dt
+        try:
+            price = self._prices[pstate if new_state == "active" else cstate]
+        except KeyError:
+            price = self._price(core)
+        new_power, new_label, new_active = price
         self._open[core_id] = (now, now, new_power, new_label, new_active)
         if self._sinks:
             closed = now > t0

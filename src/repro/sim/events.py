@@ -159,7 +159,7 @@ class Initialize(Event):
         super().__init__(env)
         self._ok = True
         self._value = None
-        self.callbacks.append(process._resume)
+        self.callbacks.append(process._resume_cb)
         env.schedule(self, priority=URGENT)
 
 
@@ -189,7 +189,7 @@ class Interruption(Event):
         # it with the failed (Interrupt-carrying) event.
         if process._target is not None and process._target.callbacks is not None:
             try:
-                process._target.callbacks.remove(process._resume)
+                process._target.callbacks.remove(process._resume_cb)
             except ValueError:
                 pass
         process._target = None
@@ -204,7 +204,7 @@ class Process(Event):
     event's exception is thrown into it).
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "name", "_resume_cb")
 
     def __init__(
         self,
@@ -220,6 +220,9 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
+        #: ``_resume`` bound once: every yield subscribes this one
+        #: object, and an interrupt removes it from the old target.
+        self._resume_cb = self._resume
         Initialize(env, self)
 
     @property
@@ -289,7 +292,7 @@ class Process(Event):
                 # Already processed: resume immediately with its outcome.
                 event = target
                 continue
-            callbacks.append(self._resume)
+            callbacks.append(self._resume_cb)
             self._target = target
             break
         env._active_process = None

@@ -137,6 +137,16 @@ def test_baseline_scenario_scoring():
     assert all(row.conservation_ok for row in result.per_consumer)
 
 
+def test_baseline_recovery_time_follows_its_last_miss():
+    """Baseline pairs stamp their deadline misses, so a baseline that
+    misses after the last fault window reports a recovery tail."""
+    stall = next(s for s in DEFAULT_SCENARIOS if s.name == "stall")
+    params = StandardParams(duration_s=1.5, seed=2014)
+    result = run_scenario(stall, params, n_consumers=4, impl="BP")
+    assert result.deadline_misses > 0
+    assert result.recovery_time_s > 0
+
+
 def test_per_consumer_rows_and_predictor_counters():
     params = StandardParams(duration_s=DURATION, seed=11)
     result = run_scenario(combined(), params, CONSUMERS)

@@ -321,3 +321,32 @@ def test_any_of_with_already_processed_event():
 
     p = env.process(proc(env))
     assert env.run(until=p) == (1.0, ["done"])
+
+
+def test_interrupt_detaches_the_cached_resume():
+    """An interrupted waiter leaves nothing behind on its old target:
+    firing that target later must not resume the process again."""
+    env = Environment()
+    target = env.event()
+    log = []
+
+    def sleeper(env):
+        try:
+            yield target
+        except Interrupt:
+            log.append(("interrupted", env.now))
+        value = yield env.timeout(5.0, "late")
+        log.append((value, env.now))
+
+    def interrupter(env, victim):
+        yield env.timeout(1.0)
+        victim.interrupt()
+        yield env.timeout(1.0)
+        assert target.callbacks == []
+        target.succeed("stale")
+
+    victim = env.process(sleeper(env))
+    env.process(interrupter(env, victim))
+    env.run()
+    assert log == [("interrupted", 1.0), ("late", 6.0)]
+    assert victim.ok

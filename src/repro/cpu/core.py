@@ -201,21 +201,31 @@ class Core:
         ``hold.release()``. While held, the core stays active — this is
         how busy-waiting implementations keep a single wakeup alive
         across arbitrarily long polling periods.
+
+        A free core with nobody queued is taken on the spot, as
+        :meth:`execute` does: no grant event, no ``yield``.
         """
-        yield self._request(owner, after_block)
+        grant = self._request(owner, after_block)
+        if grant is not None:
+            yield grant
         latency = self._pending_wake_latency
         self._pending_wake_latency = 0.0
         return CoreHold(self, owner, latency, self.context_switch_s)
 
-    def _request(self, owner: Any, after_block: bool) -> Event:
-        """Queue an execution request; returns the grant to wait on."""
-        grant = self.env.event()
-        self._queue.append((grant, owner, self.env.now))
+    def _request(self, owner: Any, after_block: bool) -> Optional[Event]:
+        """Ask for the core: None when it was taken on the spot, else
+        the queued grant to wait on."""
         if after_block:
             for listener in self._on_task_wakeup:
                 listener.on_task_wakeup(self, self.env.now, owner)
-        if not self._busy:
-            self._dispatch()
+        if not self._busy and not self._queue:
+            # A runnable task on a free core is not a scheduling point.
+            self._take(owner)
+            return None
+        # Requests only ever queue behind a busy core: every release
+        # dispatches the head of the queue at once.
+        grant = self.env.event()
+        self._queue.append((grant, owner, self.env.now))
         return grant
 
     # -- execution: one-shot convenience ------------------------------------------
@@ -238,10 +248,16 @@ class Core:
         same order (same events, same listener calls), without the
         :class:`CoreHold` or the two nested generators: Mutex and Sem
         come through here once per consumed item.
+
+        When the core is free and nobody is queued, the request is
+        granted inline — no grant event, no ``yield``; the only event
+        made is the slice's timeout (none for a zero-length slice).
         """
         if cpu_seconds < 0:
             raise SimulationError(f"negative cpu time {cpu_seconds!r}")
-        yield self._request(owner, after_block)
+        grant = self._request(owner, after_block)
+        if grant is not None:
+            yield grant
         latency = self._pending_wake_latency
         self._pending_wake_latency = 0.0
         if not self._pstate_settled:
@@ -309,10 +325,14 @@ class Core:
             self._go_idle()
             return
         grant, owner, _enq = self._queue.popleft()
+        self._take(owner)
+        grant.succeed()
+
+    def _take(self, owner: Any) -> None:
+        """Occupy the free core for ``owner``, waking it if it sleeps."""
         self._busy = True
         if self.state in (IDLE, PARKED):
             self._wake(owner)
-        grant.succeed()
 
     def _wake(self, owner: Any) -> None:
         old = self.state

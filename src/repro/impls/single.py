@@ -205,7 +205,8 @@ class MutexCondvar(PCImplementation):
         return BoundedBuffer(self.config.buffer_size)
 
     def _deliver(self, t: float):
-        yield self.mutex.acquire()
+        if not self.mutex.try_acquire():
+            yield self.mutex.acquire()
         first = True
         while self.buffer.is_full:
             if first:
@@ -219,7 +220,8 @@ class MutexCondvar(PCImplementation):
     def _consumer(self):
         cfg = self.config
         while True:
-            yield self.mutex.acquire()
+            if not self.mutex.try_acquire():
+                yield self.mutex.acquire()
             blocked = False
             while self.buffer.is_empty:
                 blocked = True

@@ -72,17 +72,25 @@ class Semaphore:
         return False
 
     def release(self, n: int = 1) -> None:
-        """Return ``n`` units, waking blocked acquirers FIFO."""
+        """Return ``n`` units, waking blocked acquirers FIFO.
+
+        Units that wake no waiter add to the count; if that would exceed
+        the capacity, nothing is released and the call raises.
+        """
         if n < 1:
             raise SimulationError(f"release count must be >= 1, got {n}")
+        waiters = self._waiters
+        if (
+            self._capacity is not None
+            and self._value + max(0, n - len(waiters)) > self._capacity
+        ):
+            raise SimulationError(
+                f"semaphore released above capacity {self._capacity}"
+            )
         for _ in range(n):
-            if self._waiters:
-                self._waiters.popleft().succeed()
+            if waiters:
+                waiters.popleft().succeed()
             else:
-                if self._capacity is not None and self._value >= self._capacity:
-                    raise SimulationError(
-                        f"semaphore released above capacity {self._capacity}"
-                    )
                 self._value += 1
 
     def cancel(self, event: Event) -> bool:
@@ -107,6 +115,11 @@ class Mutex:
     only the owner may :meth:`release`. Ownership is recorded at call
     time of :meth:`acquire` (acquire is always called from within the
     owning process's execution).
+
+    An uncontended lock is not a scheduling point: use
+    ``if not mutex.try_acquire(): yield mutex.acquire()``. On success
+    :meth:`try_acquire` records the caller as owner right away and no
+    event is made; otherwise :meth:`acquire` queues the caller FIFO.
     """
 
     def __init__(self, env: "Environment") -> None:
@@ -128,14 +141,25 @@ class Mutex:
         """Return an event that triggers once the lock is held."""
         caller = self.env.active_process
         event = self.env.event()
-        if self._owner is None and not self._waiters:
-            self._owner = caller
+        if self.try_acquire():
             event.succeed()
         elif self._owner is caller and caller is not None:
             raise SimulationError("mutex is not recursive: re-acquire by owner")
         else:
             self._waiters.append((event, caller))
         return event
+
+    def try_acquire(self) -> bool:
+        """Non-blocking acquire; True when the caller now owns the lock.
+
+        Same rule as :meth:`acquire`: the lock must be free *and* nobody
+        queued for it (FIFO fairness). False otherwise, including when
+        the caller already holds it.
+        """
+        if self._owner is None and not self._waiters:
+            self._owner = self.env.active_process
+            return True
+        return False
 
     def release(self) -> None:
         """Unlock; hands the lock to the oldest waiter if any."""
@@ -170,7 +194,9 @@ class ConditionVariable:
         mutex.release()
 
     :meth:`wait` atomically releases the mutex, sleeps until notified,
-    and re-acquires the mutex before returning — exactly the
+    and re-acquires the mutex before returning — inline through
+    :meth:`Mutex.try_acquire` when it is free with nobody queued, else
+    FIFO behind the earlier waiters — exactly the
     ``pthread_cond_wait`` contract the paper's Mutex implementation
     relies on. Spurious wakeups do not occur, but the standard
     while-loop idiom is still required because another process may run
@@ -196,7 +222,8 @@ class ConditionVariable:
         self._waiters.append(signal)
         self.mutex.release()
         yield signal
-        yield self.mutex.acquire()
+        if not self.mutex.try_acquire():
+            yield self.mutex.acquire()
 
     def notify(self, n: int = 1) -> int:
         """Wake up to ``n`` waiters; returns how many were woken."""

@@ -5,7 +5,8 @@
 way dispatches without a record, and the sanitizer falls back to
 treating it as never racy (``<pre-sanitizer>``) — a blind spot, not a
 clean bill. Every kernel fast path must therefore keep scheduling
-through those two methods; this holds the Figure 9 implementations to
+through those two methods; this holds the Figure 9 implementations,
+and the BW/Yield spinners whose core holds are granted inline, to
 that.
 """
 
@@ -40,7 +41,7 @@ class ScheduleAudit(SimultaneitySanitizer):
         super().begin_dispatch(event, when, priority)
 
 
-@pytest.mark.parametrize("impl", ["Mutex", "Sem", "BP", "PBPL"])
+@pytest.mark.parametrize("impl", ["Mutex", "Sem", "BP", "PBPL", "BW", "Yield"])
 def test_every_dispatched_event_has_a_schedule_record(impl):
     params = StandardParams(duration_s=0.3, seed=2014)
     audit = ScheduleAudit()

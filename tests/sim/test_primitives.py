@@ -90,6 +90,38 @@ def test_semaphore_capacity_guards_double_release():
         sem.release()
 
 
+def test_semaphore_failed_release_changes_nothing():
+    env = Environment()
+    sem = Semaphore(env, 1, capacity=2)
+    with pytest.raises(SimulationError, match="above capacity"):
+        sem.release(2)
+    assert sem.value == 1
+    assert sem.waiting == 0
+
+
+def test_semaphore_failed_release_wakes_no_waiter():
+    env = Environment()
+    sem = Semaphore(env, 0, capacity=1)
+    woken = []
+
+    def taker(env):
+        yield sem.acquire()
+        woken.append(env.now)
+
+    env.process(taker(env))
+    env.run()
+    assert sem.waiting == 1
+    # One unit would go to the waiter, the other two exceed capacity 1.
+    with pytest.raises(SimulationError, match="above capacity"):
+        sem.release(3)
+    env.run()
+    assert (sem.value, sem.waiting, woken) == (0, 1, [])
+    # Within capacity once the waiter takes its unit.
+    sem.release(2)
+    env.run()
+    assert (sem.value, sem.waiting, woken) == (1, 0, [0.0])
+
+
 def test_semaphore_release_count_validation():
     env = Environment()
     sem = Semaphore(env, 0)
@@ -201,6 +233,111 @@ def test_mutex_is_not_recursive():
         env.run(until=p)
 
 
+def test_mutex_try_acquire_takes_a_free_lock():
+    env = Environment()
+    mtx = Mutex(env)
+    seen = []
+
+    def proc(env):
+        assert mtx.try_acquire()
+        seen.append((mtx.owner is env.active_process, len(env)))
+        mtx.release()
+        assert not mtx.locked
+        yield env.timeout(1.0)
+
+    env.process(proc(env))
+    env.run()
+    # Owner recorded on the spot, and no grant event was scheduled.
+    assert seen == [(True, 0)]
+
+
+def test_mutex_try_acquire_fails_while_held():
+    env = Environment()
+    mtx = Mutex(env)
+    log = []
+
+    def owner(env):
+        yield mtx.acquire()
+        yield env.timeout(2.0)
+        mtx.release()
+
+    def other(env):
+        yield env.timeout(1.0)
+        log.append(mtx.try_acquire())
+        log.append(mtx.owner is owner_p)
+
+    owner_p = env.process(owner(env))
+    env.process(other(env))
+    env.run()
+    assert log == [False, True]
+    assert not mtx.locked  # the failed try queued nothing
+
+
+def test_mutex_try_acquire_respects_queued_waiters():
+    env = Environment()
+    mtx = Mutex(env)
+    log = []
+
+    def owner(env):
+        yield mtx.acquire()
+        yield env.timeout(1.0)
+        mtx.release()  # hands off to the ownerless waiter below
+
+    def queued(env):
+        yield env.timeout(0.5)
+        yield mtx.acquire()
+        log.append(("queued", env.now))
+        mtx.release()
+
+    def late(env):
+        yield env.timeout(2.0)
+        # The lock is free but a waiter is queued: FIFO says no.
+        log.append(("try", mtx.locked, mtx.try_acquire()))
+
+    env.process(owner(env))
+    env.process(queued(env))
+    env.process(late(env))
+    env.run(until=0.25)
+    # An acquire from outside any process has no owner to record, so
+    # its grant leaves the lock free with ``queued`` still waiting.
+    mtx.acquire()
+    env.run()
+    assert log == [("try", False, False)]
+
+
+def test_mutex_try_acquire_then_acquire_is_not_recursive():
+    env = Environment()
+    mtx = Mutex(env)
+
+    def proc(env):
+        assert mtx.try_acquire()
+        assert not mtx.try_acquire()  # held, by the caller itself
+        yield mtx.acquire()
+
+    p = env.process(proc(env))
+    with pytest.raises(SimulationError, match="not recursive"):
+        env.run(until=p)
+
+
+def test_mutex_try_acquire_owner_only_release():
+    env = Environment()
+    mtx = Mutex(env)
+
+    def owner(env):
+        assert mtx.try_acquire()
+        yield env.timeout(10.0)
+        mtx.release()
+
+    def thief(env):
+        yield env.timeout(1.0)
+        mtx.release()
+
+    env.process(owner(env))
+    thief_p = env.process(thief(env))
+    with pytest.raises(SimulationError, match="released by"):
+        env.run(until=thief_p)
+
+
 # -- ConditionVariable ----------------------------------------------------------
 
 
@@ -297,3 +434,37 @@ def test_condvar_wait_reacquires_mutex_before_returning():
     env.process(notifier(env))
     env.run()
     assert checks == [True]
+
+
+def test_condvar_contended_reacquire_queues_fifo():
+    env = Environment()
+    mtx = Mutex(env)
+    cv = ConditionVariable(env, mtx)
+    log = []
+
+    def waiter(env):
+        yield mtx.acquire()
+        yield from cv.wait()
+        log.append(("waiter", env.now))
+        mtx.release()
+
+    def notifier(env):
+        yield env.timeout(0.2)
+        yield mtx.acquire()
+        yield env.timeout(0.8)
+        cv.notify()  # the waiter wakes while the lock is still held
+        yield env.timeout(1.0)
+        mtx.release()
+
+    def earlier(env):
+        yield env.timeout(0.5)
+        yield mtx.acquire()  # queued before the waiter is notified
+        log.append(("earlier", env.now))
+        yield env.timeout(1.0)
+        mtx.release()
+
+    env.process(waiter(env))
+    env.process(notifier(env))
+    env.process(earlier(env))
+    env.run()
+    assert log == [("earlier", 2.0), ("waiter", 3.0)]

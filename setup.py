@@ -1,44 +1,5 @@
-"""Legacy setup shim: enables `pip install -e .` without the `wheel` package.
-
-Doubles as the optional compiled-build hook (DESIGN.md §13): when the
-``REPRO_COMPILED=1`` environment variable is set *and* mypyc is
-importable (``pip install -e .[compiled]`` brings it in via mypy), the
-DES-kernel hot modules are compiled to C extensions with mypyc. In every
-other situation — no flag, no mypyc, or a compiler failure — the build
-degrades silently to the pure-python package, which is always installed
-and always correct. The compiled modules shadow their .py sources on
-import, so `repro._compiled.kernel_backend()` reports which one won.
-"""
-
-import os
+"""Legacy setup shim: enables `pip install -e .` without the `wheel` package."""
 
 from setuptools import setup
 
-#: The hot path worth compiling: the event queue/dispatch kernel and the
-#: buffer ring it feeds. Deliberately *not* anything importing numpy
-#: (mypyc links against CPython only) or anything with dataclass
-#: metaprogramming edge cases.
-COMPILED_MODULES = [
-    "src/repro/sim/environment.py",
-    "src/repro/sim/events.py",
-    "src/repro/buffers/ring.py",
-]
-
-
-def _ext_modules():
-    if os.environ.get("REPRO_COMPILED") != "1":
-        return []
-    try:
-        from mypyc.build import mypycify
-    except ImportError:
-        print("REPRO_COMPILED=1 but mypyc is unavailable; "
-              "building pure-python (pip install -e .[compiled] first)")
-        return []
-    try:
-        return mypycify(COMPILED_MODULES, opt_level="3")
-    except Exception as exc:  # compile errors must not break installs
-        print(f"mypyc compilation failed ({exc}); building pure-python")
-        return []
-
-
-setup(ext_modules=_ext_modules())
+setup()

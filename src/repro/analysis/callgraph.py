@@ -33,7 +33,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 #: Bump when the shape of the facts dict changes; the cache discards
 #: entries written by a different extractor version.
-FACTS_SCHEMA = 3
+FACTS_SCHEMA = 4
 
 #: How many re-export / summary hops a resolution may take before the
 #: analysis gives up (keeps cyclic import graphs and pathological alias

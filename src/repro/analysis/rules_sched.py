@@ -8,10 +8,9 @@ priority* are ordered by luck. The dynamic sanitizer
 produces them; these rules are its static companion, flagging the call
 sites that can produce them on *some* run:
 
-SCHED001  a priority-less ``schedule()``/``_schedule_at()`` call site
-          that can share a virtual timestamp with another event:
-          either it aims at an **absolute** boundary (a delay of the
-          form ``T - env.now``, or an absolute ``_schedule_at``), or a
+SCHED001  a priority-less ``schedule()`` call site that can share a
+          virtual timestamp with another event: either it aims at an
+          **absolute** boundary (a delay of the form ``T - env.now``), or a
           second priority-less site in a *different function* uses a
           structurally identical delay expression (both zero-delay
           sites tie at "now"; two ``delay=self.delta`` sites tie at the
@@ -60,7 +59,7 @@ class StaticTieRule(ProjectRule):
                         path,
                         site["line"],
                         site["col"],
-                        f"`.{site['method']}(...)` aims at an absolute "
+                        f"`.schedule(...)` aims at an absolute "
                         f"timestamp without an explicit priority — any "
                         f"other event at that boundary ties, and the tie "
                         f"is broken by insertion order",
@@ -94,7 +93,7 @@ class StaticTieRule(ProjectRule):
                         path,
                         site["line"],
                         site["col"],
-                        f"priority-less `.{site['method']}(...)` with "
+                        f"priority-less `.schedule(...)` with "
                         f"{delay} can tie with "
                         f"{other[0]}:{other[1]['line']} "
                         f"(in {other[1]['func']}) — pass an explicit "
@@ -121,7 +120,7 @@ class LoopFanoutTieRule(ProjectRule):
                     path,
                     site["line"],
                     site["col"],
-                    f"`.{site['method']}(...)` in a loop with a "
+                    f"`.schedule(...)` in a loop with a "
                     f"loop-invariant delay schedules the whole fan-out "
                     f"onto one timestamp without a priority — their "
                     f"mutual order is insertion order",

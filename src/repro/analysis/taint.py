@@ -67,9 +67,7 @@ PROPAGATION_BOUND = 12
 #: Values produced by the wall-clock shim are host time; the shim module
 #: itself is DET001-exempt, so the *flow* rule is the only guard against
 #: its values reaching kernel state.
-_CLOCK_SHIM_FNS = frozenset(
-    {"repro.harness.clock.perf_counter", "repro.harness.clock.utc_stamp"}
-)
+_CLOCK_SHIM_FNS = frozenset({"repro.harness.clock.perf_counter"})
 
 #: Builtins through which scalar taint flows unchanged.
 _PASSTHROUGH = frozenset(
@@ -79,10 +77,9 @@ _PASSTHROUGH = frozenset(
 #: ``list(a_set)`` is exactly as hash-ordered as the set was.
 _ORDER_KEEPERS = frozenset({"list", "tuple", "iter", "reversed", "enumerate"})
 
-#: Methods whose call is a scheduling sink (and, for the first two, a
+#: Methods whose call is a scheduling sink (and, for ``schedule``, a
 #: scheduling-hazard site for the SCHED rules).
-SCHEDULE_METHODS = ("schedule", "_schedule_at")
-SINK_METHODS = SCHEDULE_METHODS + ("timeout",)
+SINK_METHODS = ("schedule", "timeout")
 
 
 def source_kind(ref: Optional[str]) -> Optional[str]:
@@ -331,32 +328,18 @@ class _FunctionWalker:
                     "params": combined.param_indices(),
                 }
             )
-        if fn.attr in SCHEDULE_METHODS:
-            self.sched_sites.append(
-                self._sched_site(node, fn.attr)
-            )
+        if fn.attr == "schedule":
+            self.sched_sites.append(self._sched_site(node))
 
-    def _sched_site(self, node: ast.Call, method: str) -> dict:
+    def _sched_site(self, node: ast.Call) -> dict:
         kwargs = {kw.arg: kw.value for kw in node.keywords if kw.arg}
-        if method == "schedule":
-            has_priority = "priority" in kwargs or len(node.args) >= 3
-            delay = kwargs.get("delay")
-            if delay is None and len(node.args) >= 2:
-                delay = node.args[1]
-            when = None
-        else:  # _schedule_at(when, priority, event)
-            has_priority = "priority" in kwargs or len(node.args) >= 2
-            delay = None
-            when = kwargs.get("when")
-            if when is None and node.args:
-                when = node.args[0]
-        target = when if when is not None else delay
+        has_priority = "priority" in kwargs or len(node.args) >= 3
+        target = kwargs.get("delay")
+        if target is None and len(node.args) >= 2:
+            target = node.args[1]
         kind = "zero"
         norm = "0"
-        if method == "_schedule_at":
-            kind = "abs"
-            norm = ast.dump(target) if target is not None else "?"
-        elif target is not None:
+        if target is not None:
             if isinstance(target, ast.Constant) and target.value in (0, 0.0):
                 kind, norm = "zero", "0"
             elif _is_absolute_delay(target):
@@ -373,7 +356,6 @@ class _FunctionWalker:
             "line": node.lineno,
             "col": node.col_offset + 1,
             "func": self.qualname,
-            "method": method,
             "has_priority": has_priority,
             "delay_kind": kind,
             "delay_norm": norm,

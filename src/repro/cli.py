@@ -12,7 +12,6 @@ Installed as the ``repro`` console script (also ``python -m repro``)::
     repro chaos --baselines         # ... plus Mutex/Sem/BP/SPBP degradation
     repro chaos --jobs 4            # dispatch runs across 4 worker processes
     repro chaos --scenarios core-kill,cascade  # just these scenarios
-    repro bench                     # kernel + harness benchmarks → BENCH_*.json
     repro trace record -o t.json    # record an event trace (Perfetto JSON)
     repro trace record --stream -o t.jsonl  # spill-to-disk JSONL (full fidelity)
     repro trace diff a.jsonl b.jsonl  # structural diff: slots/latching/energy
@@ -27,10 +26,14 @@ Installed as the ``repro`` console script (also ``python -m repro``)::
     repro metrics diff a.prom b.prom   # exit 1 on drift — the CI gate
     repro metrics profile           # deterministic kernel self-profile
     repro metrics bless             # regenerate the golden metrics snapshot
+    repro metrics overhead          # exit 1 if a live registry costs > 15 %
 
 Common options (figures): ``--duration``, ``--replicates``, ``--seed``,
 ``--csv FILE`` (raw per-run metrics), ``--out FILE`` (the text figure),
 ``--jobs N`` (parallel run dispatch; also honours ``$REPRO_JOBS``).
+
+Wall time, set-up time and memory of the figure-level workloads are
+measured by ``python bench/run.py``, not by this CLI.
 """
 
 from __future__ import annotations
@@ -342,72 +345,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.cache_dir is not None:
         argv += ["--cache-dir", str(args.cache_dir)]
     return lint_main(argv)
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the kernel + harness benchmarks, write ``BENCH_kernel.json``
-    and ``BENCH_harness.json``, and (with ``--baseline``) gate against a
-    committed baseline: >20 % events/sec regression exits non-zero."""
-    import json as json_mod
-
-    from repro.harness.bench import (
-        append_history,
-        bench_harness,
-        bench_kernel,
-        check_regressions,
-        read_history,
-        render_history,
-        render_summary,
-        write_bench_files,
-    )
-
-    if args.history:
-        print(render_history(read_history(args.history_file)))
-        return 0
-
-    kernel = bench_kernel(quick=args.quick)
-    harness = bench_harness(quick=args.quick, jobs=args.jobs)
-    kernel_path, harness_path = write_bench_files(kernel, harness, args.output_dir)
-    entry = append_history(kernel, harness, args.history_file)
-    info = sys.stderr if args.json else sys.stdout
-    if args.json:
-        print(
-            json_mod.dumps(
-                {"kernel": kernel, "harness": harness}, indent=2, sort_keys=True
-            )
-        )
-    else:
-        print(render_summary(kernel, harness))
-    print(f"wrote {kernel_path} and {harness_path}", file=info)
-    print(
-        f"history: appended {entry['git_sha']} (v{entry['repro_version']}) "
-        f"to {args.history_file}",
-        file=info,
-    )
-
-    rc = 0
-    if not harness["chaos_matrix"]["byte_identical"]:
-        print(
-            "bench: FAIL parallel chaos report is not byte-identical to serial",
-            file=sys.stderr,
-        )
-        rc = 1
-    overhead = kernel.get("metrics_overhead", {})
-    if overhead and overhead["overhead_frac"] > overhead["tolerance"]:
-        print(
-            f"bench: FAIL metrics overhead {overhead['overhead_frac']:+.1%} "
-            f"exceeds {overhead['tolerance']:.0%} (active registry vs "
-            "NullRegistry events/sec)",
-            file=sys.stderr,
-        )
-        rc = 1
-    if args.baseline is not None:
-        for failure in check_regressions(kernel, args.baseline):
-            print(f"bench: REGRESSION {failure}", file=sys.stderr)
-            rc = 1
-        if rc == 0:
-            print(f"bench: within tolerance of {args.baseline}", file=info)
-    return rc
 
 
 def cmd_all(args: argparse.Namespace) -> int:
@@ -1127,6 +1064,35 @@ def cmd_metrics_bless(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_metrics_overhead(args: argparse.Namespace) -> int:
+    """Time the PBPL smoke with a live registry against the disabled
+    default, paired and interleaved; exit 1 when the median slowdown
+    exceeds the tolerance or the two runs process different events."""
+    from repro.harness.overhead import measure_metrics_overhead
+
+    m = measure_metrics_overhead()
+    print(
+        f"metrics overhead: {m['overhead_frac']:+.1%} active vs null registry "
+        f"(median of {m['pairs']} pairs; {m['null_events']} events null, "
+        f"{m['active_events']} active; tolerance {m['tolerance']:.0%})"
+    )
+    if m["null_events"] != m["active_events"]:
+        print(
+            "metrics overhead: FAIL the live registry changed the event "
+            "count, so the ratio measures a different workload",
+            file=sys.stderr,
+        )
+        return 1
+    if m["overhead_frac"] > m["tolerance"]:
+        print(
+            f"metrics overhead: FAIL {m['overhead_frac']:+.1%} exceeds the "
+            f"{m['tolerance']:.0%} tolerance",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
 def cmd_trace_default(args: argparse.Namespace) -> int:
     """``repro trace`` with no subcommand: ``--smoke`` runs the CI gate;
     anything else is a usage error."""
@@ -1274,55 +1240,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated candidate slot sizes in ms (default: L-derived grid)",
     )
     p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser(
-        "bench",
-        help="kernel events/sec + chaos-matrix wall-clock → BENCH_*.json",
-    )
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="shorter durations and fewer repeats (the CI configuration)",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the combined kernel+harness payload as JSON on stdout",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for the harness benchmark "
-        "(default: min(4, cpu count))",
-    )
-    p.add_argument(
-        "--output-dir",
-        type=Path,
-        default=Path("."),
-        help="where to write BENCH_kernel.json / BENCH_harness.json "
-        "(default: current directory)",
-    )
-    p.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="committed BENCH_kernel.json to gate against: exit non-zero "
-        "if events/sec regresses more than 20%%",
-    )
-    p.add_argument(
-        "--history",
-        action="store_true",
-        help="print the per-commit events/sec trajectory and exit "
-        "(no benchmarks run)",
-    )
-    p.add_argument(
-        "--history-file",
-        type=Path,
-        default=Path("results/bench_history.jsonl"),
-        help="per-commit snapshot file (default results/bench_history.jsonl)",
-    )
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("all", help="every figure, one markdown report")
     _add_common(p)
@@ -1615,6 +1532,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="explicit output path (overrides --out-dir)",
     )
     p.set_defaults(func=cmd_metrics_bless)
+
+    p = msub.add_parser(
+        "overhead",
+        help="paired timing of the PBPL smoke with a live registry vs the "
+        "disabled default; exit 1 above the 15%% tolerance",
+    )
+    p.set_defaults(func=cmd_metrics_overhead)
 
     p = sub.add_parser(
         "lint",

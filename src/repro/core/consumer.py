@@ -148,7 +148,7 @@ class LatchingConsumer:
         )
         # Pre-bound `.inc` for the per-item/per-slot sites: one
         # attribute load + call instead of re-creating the bound method
-        # on every delivery (measurable under `metrics_overhead`).
+        # on every delivery (measurable by `repro metrics overhead`).
         self._inc_produced = self._m_produced.inc
         self._inc_latched = self._m_latched.inc
         self._inc_missed = self._m_missed.inc

@@ -4,9 +4,9 @@ Virtual (simulated) time always comes from ``Environment.now``; nothing
 in the kernel or harness may consult the host clock directly, because a
 wall-clock read is the classic way nondeterminism sneaks into "pure"
 runs. The measurement harness still legitimately needs host time for
-*meta*-measurements — benchmark throughput, report section runtimes,
-bench-history timestamps — so those reads are funnelled through this
-module, which the DET001 lint rule allowlists by name.
+*meta*-measurements — benchmark wall times, report section runtimes —
+so those reads are funnelled through this module, which the DET001
+lint rule allowlists by name.
 """
 
 from __future__ import annotations
@@ -17,8 +17,3 @@ import time as _time
 def perf_counter() -> float:
     """Monotonic high-resolution host timer (seconds)."""
     return _time.perf_counter()
-
-
-def utc_stamp() -> str:
-    """Current UTC time as a second-resolution ISO-8601 string."""
-    return _time.strftime("%Y-%m-%dT%H:%M:%SZ", _time.gmtime())

@@ -65,9 +65,10 @@ class Environment:
         self._queue: list = []
         self._eid = count()
         self._active_process: Optional[Process] = None
-        #: Lifetime count of events processed (run loop + step). The
-        #: ``repro bench`` kernel micro-benchmark divides this by wall
-        #: time for its events/sec figure.
+        #: Lifetime count of events processed (run loop + step).
+        #: ``bench/`` reports it as ``sim.events``, and
+        #: ``repro metrics overhead`` checks that a live registry leaves
+        #: it unchanged.
         self.events_processed = 0
 
     # -- clock & introspection ------------------------------------------
@@ -89,10 +90,6 @@ class Environment:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         heappush(self._queue, (self.now + delay, priority, next(self._eid), event))
-
-    def _schedule_at(self, when: float, priority: int, event: Event) -> None:
-        """Queue ``event`` at absolute time ``when`` (no past check)."""
-        heappush(self._queue, (when, priority, next(self._eid), event))
 
     def _pop_entry(self) -> Optional[tuple]:
         """Consume and return the next ``(when, priority, eid, event)``.

@@ -7,8 +7,7 @@ name and label set, flushed into bounded tumbling-window series in
 virtual time, and exported as OpenMetrics/Prometheus text or
 byte-stable JSONL. A disabled registry is the falsy
 :data:`NULL_REGISTRY` singleton, so the default hot path costs one
-truthiness check (benched by ``repro bench``'s ``metrics_overhead``
-row).
+truthiness check (gated by ``repro metrics overhead``).
 
 Typical use::
 

@@ -6,7 +6,7 @@ path is a truthiness guard plus one method call on the pre-resolved
 handle. A disabled registry is the falsy :data:`NULL_REGISTRY`
 singleton — exactly the :data:`repro.trace.NULL_TRACER` idiom — so the
 default configuration costs one ``if self.metrics:`` check and nothing
-else (benched by ``repro bench``'s ``metrics_overhead`` row).
+else (gated by ``repro metrics overhead``).
 
 Metric names are lowercase snake_case literals checked statically by
 ``repro lint`` (METRIC001) against the generated table in

@@ -90,19 +90,6 @@ def test_priority_silences_the_pair(lint_tree):
     assert _sched(findings, "SCHED001") == []
 
 
-def test_schedule_at_without_priority_flagged(lint_tree):
-    findings = lint_tree(
-        {
-            "core/at.py": (
-                "def aim(env, event, when):\n"
-                "    env._schedule_at(when, event=event)\n"
-            ),
-        }
-    )
-    hits = _sched(findings, "SCHED001")
-    assert len(hits) == 1 and "_schedule_at" in hits[0].message
-
-
 def test_loop_invariant_fanout_flagged(lint_tree):
     findings = lint_tree(
         {

@@ -67,6 +67,13 @@ def test_same_seed_same_report_bytes():
     assert a.to_json() == b.to_json()
 
 
+def test_parallel_report_is_byte_identical_to_serial():
+    kwargs = dict(seed=2014, duration_s=0.5, n_consumers=3)
+    serial = run_chaos(SMOKE_SCENARIOS, jobs=1, **kwargs)
+    parallel = run_chaos(SMOKE_SCENARIOS, jobs=2, **kwargs)
+    assert serial.to_json() == parallel.to_json()
+
+
 def test_different_seed_different_report():
     a = run_chaos(SMOKE_SCENARIOS, seed=1, duration_s=DURATION, n_consumers=CONSUMERS)
     b = run_chaos(SMOKE_SCENARIOS, seed=2, duration_s=DURATION, n_consumers=CONSUMERS)

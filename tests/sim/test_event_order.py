@@ -12,7 +12,6 @@ no code or data structure with the heap it checks.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._compiled import PURE, kernel_backend
 from repro.sim import Environment
 from repro.sim.events import NORMAL, URGENT
 
@@ -174,13 +173,3 @@ def test_peek_from_callback_does_not_skip_next_event():
     env.schedule(_recorded_event(env, order, "second"), 5e-3)
     env.run()
     assert order == ["first", "second"]
-
-
-def test_kernel_backend_reports_this_interpreter():
-    # In the source checkout the pure-python kernel is what's imported;
-    # the compiled CI job asserts the other branch.
-    assert kernel_backend() in (PURE, "compiled")
-    import repro.sim.environment as mod
-
-    if mod.__file__.endswith(".py"):
-        assert kernel_backend() == PURE

@@ -200,6 +200,10 @@ class LatchingConsumer:
         #: consumer's first post-migration batch (its recovery point).
         self.on_batch_done: "list" = []
         self.in_flight = 0
+        #: Size of the batch being serviced, and how many of its items
+        #: flush_metrics() has already credited to items_consumed_total.
+        self._batch_size = 0
+        self._credited = 0
         self._space_event = None
         self._activation = None
         self._overflow = None
@@ -381,7 +385,7 @@ class LatchingConsumer:
             hold = yield from core.acquire(self.owner, after_block=True)
             yield from hold.busy(WAKE_CHECK_S)
             batch = self.buffer.drain()
-            self.in_flight = len(batch)
+            self.in_flight = self._batch_size = len(batch)
             self._notify_space()
             # The per-item loop is hold.busy() inlined (same operations,
             # same order — one generator allocation and two resumes saved
@@ -421,7 +425,8 @@ class LatchingConsumer:
                 # Batch-level accounting: one observe + one add per
                 # batch, never per item.
                 self._m_batch_items.observe(len(batch))
-                self._m_consumed.inc(len(batch))
+                self._m_consumed.inc(len(batch) - self._credited)
+                self._credited = 0
 
             # Prediction update (r_j over the inter-invocation gap).
             gap = env.now - self._last_invocation
@@ -449,6 +454,19 @@ class LatchingConsumer:
                 # own consumer can drain it — forwarding while holding
                 # the core would deadlock the shared-core case.
                 yield from self._forward(batch)
+
+    def flush_metrics(self) -> None:
+        """Credit ``items_consumed_total`` with the finished items of a
+        batch the run stopped inside.
+
+        Batches are credited whole when they end; call this when the run
+        stops so the counter matches ``stats.consumed``. Safe to call
+        more than once, and to resume the run after.
+        """
+        if self.in_flight:
+            done = self._batch_size - self.in_flight
+            self._m_consumed.inc(done - self._credited)
+            self._credited = done
 
     def _item_cost_s(self, t: float) -> float:
         """Per-item service cost (hook: pipeline stages add a

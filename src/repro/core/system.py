@@ -167,6 +167,11 @@ class PBPLSystem:
         self.migrations.append(report)
         return report
 
+    def flush_metrics(self) -> None:
+        """End-of-run metrics flush: see :meth:`LatchingConsumer.flush_metrics`."""
+        for consumer in self.consumers:
+            consumer.flush_metrics()
+
     # -- aggregated statistics -----------------------------------------------
     def aggregate_stats(self) -> PairStats:
         """Element-wise sum of all consumers' counters.

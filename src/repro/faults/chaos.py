@@ -341,6 +341,8 @@ def run_scenario(
     RuntimeInjector(rig.env, system, plan).start()
     probe = PowerProbe(rig, plan, params.duration_s).start()
     rig.env.run(until=params.duration_s)
+    if metrics is not None and impl == "PBPL":
+        system.flush_metrics()
 
     stats = system.aggregate_stats()
     rig.ledger.settle()

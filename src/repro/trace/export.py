@@ -18,12 +18,24 @@ the trace-event schema, used by the CLI smoke gate and CI.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Dict, List, Union
 
 from repro.trace.tracer import COUNTER, INSTANT, SPAN, TraceEvent, Tracer
 
 #: The single simulated process all tracks live under.
 PID = 1
+
+#: Whole-trace exports join their records in blocks of this many events
+#: before the final join (cf. ``Producer.CHUNK``). One join over every
+#: record would hold ~10^5 small strings next to the result at once,
+#: which raises the allocator's high-water mark even though the live
+#: data is smaller.
+BLOCK = 4096
+
+_INF = float("inf")
+_STR_ONLY = {str}
 
 _EventsOrTracer = Union[Tracer, List[TraceEvent]]
 
@@ -40,67 +52,147 @@ def _track_ids(events: List[TraceEvent]) -> Dict[str, int]:
     return {track: i + 1 for i, track in enumerate(sorted({e.track for e in events}))}
 
 
-def _json_safe(value: Any) -> Any:
-    """Clamp arg values to JSON-safe scalars (deterministic repr)."""
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
+def _json(value: Any) -> str:
+    """``value`` as compact, key-sorted ASCII JSON, clamped to safe values.
+
+    The text is ``json.dumps(v, sort_keys=True, separators=(",", ":"))``
+    of ``value`` with NaN and ±inf floats replaced by their quoted
+    ``repr``, keys by ``str(key)`` (the last of colliding keys wins),
+    tuples by lists and any other object by its quoted ``str()`` —
+    built directly, with no copy of the value and no encoder object.
+    Exact-type checks take what trace args hold (str-keyed dicts of
+    str, int, float and bool); subclasses and everything else go
+    through the ``isinstance`` checks below, in the clamp's order.
+    """
+    cls = type(value)
+    if cls is dict and {*map(type, value)} <= _STR_ONLY:
+        parts = []
+        for key in sorted(value):
+            item = value[key]
+            kind = type(item)
+            if kind is int or kind is float and item - item == 0.0:
+                # str() of an exact int or finite float is its JSON text.
+                parts.append(f"{_quote(key)}:{item}")
+            elif kind is str:
+                parts.append(f"{_quote(key)}:{_quote(item)}")
+            else:
+                parts.append(f"{_quote(key)}:{_json(item)}")
+        return "{" + ",".join(parts) + "}"
+    if cls is str:
+        return _quote(value)
+    if cls is float and value - value == 0.0:
+        return float.__repr__(value)
+    if cls is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _quote(value)
     if isinstance(value, float):
         # NaN/Inf are not JSON; stringify them rather than emit invalid output.
-        if value != value or value in (float("inf"), float("-inf")):
-            return repr(value)
-        return value
+        if value != value or value in (_INF, -_INF):
+            return _quote(repr(value))
+        return float.__repr__(value)
     if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
+        safe = {str(k): v for k, v in value.items()}
+        parts = [f"{_quote(k)}:{_json(safe[k])}" for k in sorted(safe)]
+        return "{" + ",".join(parts) + "}"
     if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return str(value)
+        return "[" + ",".join([_json(v) for v in value]) + "]"
+    return _quote(str(value))
 
 
-def chrome_trace_dict(source: _EventsOrTracer) -> Dict[str, Any]:
-    """The trace as a Chrome trace-event JSON object (not yet a string)."""
-    events = _events(source)
-    tids = _track_ids(events)
-    out: List[Dict[str, Any]] = []
-    for track in sorted(tids):
-        out.append(
-            {
-                "ph": "M",
-                "pid": PID,
-                "tid": tids[track],
-                "name": "thread_name",
-                "args": {"name": track},
-            }
-        )
-    for e in events:
-        record: Dict[str, Any] = {
-            "ph": e.phase,
-            "pid": PID,
-            "tid": tids[e.track],
-            "ts": e.ts_s * 1e6,
-            "name": e.name,
-            "cat": e.category,
-        }
-        if e.phase == SPAN:
-            record["dur"] = (e.dur_s or 0.0) * 1e6
-            record["args"] = _json_safe(e.args)
-        elif e.phase == INSTANT:
-            record["s"] = "t"  # thread-scoped instant
-            record["args"] = _json_safe(e.args)
-        elif e.phase == COUNTER:
-            record["args"] = {e.name: _json_safe(e.args.get("value", 0))}
-        out.append(record)
-    return {
-        "traceEvents": out,
-        "displayTimeUnit": "ms",
-        "otherData": {"clock": "virtual", "source": "repro.trace"},
-    }
+def _field(value: Any) -> str:
+    """An event's own field (a str, number or ``None``) as ``json.dumps``
+    writes it: unclamped, so NaN and ±inf come out bare."""
+    cls = type(value)
+    if cls is str:
+        return _quote(value)
+    if cls is float and value - value == 0.0:
+        return float.__repr__(value)
+    if cls is int:
+        return int.__repr__(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            return "NaN"
+        return "Infinity" if value > 0 else "-Infinity"
+    if value is None or isinstance(value, (str, int, float)):
+        return _json(value)
+    raise TypeError(
+        f"trace event field of type {type(value).__name__} is not a str, "
+        f"number or None"
+    )
 
 
 def to_chrome_json(source: _EventsOrTracer) -> str:
-    """Serialise to the Chrome trace-event JSON format (byte-stable)."""
-    return json.dumps(
-        chrome_trace_dict(source), sort_keys=True, separators=(",", ":")
-    )
+    """Serialise to the Chrome trace-event JSON format (byte-stable).
+
+    Keys are sorted and separators compact, as ``json.dumps(...,
+    sort_keys=True, separators=(",", ":"))`` would write the document;
+    each record is one f-string per phase.
+    """
+    events = _events(source)
+    tids = _track_ids(events)
+    # Every record ends in '"tid":N,"ts":<ts>' (keys sorted); the
+    # track's part of that is rendered once, not once per event. Event
+    # records carry their own leading comma: there are metadata records
+    # before them whenever there are events.
+    tid_ts = {track: f'"tid":{tid},"ts":' for track, tid in tids.items()}
+    blocks = [
+        '{"displayTimeUnit":"ms","otherData":{"clock":"virtual",'
+        '"source":"repro.trace"},"traceEvents":['
+    ]
+    if tids:  # thread_name metadata, one record per track in tid order
+        blocks.append(",".join([
+            f'{{"args":{{"name":{_field(track)}}},"name":"thread_name",'
+            f'"ph":"M","pid":{PID},"tid":{tid}}}'
+            for track, tid in tids.items()
+        ]))
+    for start in range(0, len(events), BLOCK):
+        records = []
+        for e in events[start : start + BLOCK]:
+            cat = _field(e.category)
+            name = _field(e.name)
+            tid = tid_ts[e.track]
+            ts = _field(e.ts_s * 1e6)
+            phase = e.phase
+            if phase == SPAN:
+                records.append(
+                    f',{{"args":{_json(e.args)},"cat":{cat},'
+                    f'"dur":{_field((e.dur_s or 0.0) * 1e6)},"name":{name},'
+                    f'"ph":"X","pid":{PID},{tid}{ts}}}'
+                )
+            elif phase == INSTANT:
+                # "s":"t" marks a thread-scoped instant.
+                records.append(
+                    f',{{"args":{_json(e.args)},"cat":{cat},"name":{name},'
+                    f'"ph":"i","pid":{PID},"s":"t",{tid}{ts}}}'
+                )
+            elif phase == COUNTER:
+                records.append(
+                    f',{{"args":{{{name}:{_json(e.args.get("value", 0))}}},'
+                    f'"cat":{cat},"name":{name},"ph":"C","pid":{PID},{tid}{ts}}}'
+                )
+            else:
+                records.append(
+                    f',{{"cat":{cat},"name":{name},"ph":{_field(phase)},'
+                    f'"pid":{PID},{tid}{ts}}}'
+                )
+        blocks.append("".join(records))
+    blocks.append("]}")
+    # One join over the whole document: concatenating around a joined
+    # body would briefly hold three copies of it.
+    return "".join(blocks)
+
+
+def chrome_trace_dict(source: _EventsOrTracer) -> Dict[str, Any]:
+    """The Chrome trace-event document as a dict (parsed back from
+    :func:`to_chrome_json`, so there is one serializer)."""
+    return json.loads(to_chrome_json(source))
 
 
 def to_text_timeline(source: _EventsOrTracer) -> str:

@@ -236,6 +236,8 @@ def record_run(
         profiler.run(rig.env, until=duration_s)
     else:
         rig.env.run(until=duration_s)
+    if metrics is not None and impl == "PBPL":
+        system.flush_metrics()
     # The trace's last spans must land before finalize() closes it; the
     # registry's tail comes after the final window frame, which (like
     # every frame) holds only segments closed by real transitions.

@@ -39,7 +39,7 @@ import sys
 from pathlib import Path
 from typing import IO, Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.trace.export import _json_safe
+from repro.trace.export import BLOCK, _events, _field, _json
 from repro.trace.tracer import TraceEvent, Tracer
 
 #: Identifies a repro trace JSONL header.
@@ -67,18 +67,26 @@ class TraceTruncatedError(TraceSchemaError):
     """
 
 
+def event_line(e: TraceEvent) -> str:
+    """One event as its JSONL line (newline included).
+
+    Keys are sorted and separators compact, as ``json.dumps(...,
+    sort_keys=True, separators=(",", ":"))`` writes the object; args are
+    clamped to JSON-safe values. The output is ASCII (non-ASCII text is
+    ``\\u``-escaped), so ``len()`` of a line is its size in bytes.
+    """
+    dur = e.dur_s
+    return (
+        f'{{"args":{_json(e.args)},"cat":{_field(e.category)},'
+        f'"dur":{"null" if dur is None else _field(dur)},'
+        f'"name":{_field(e.name)},"ph":{_field(e.phase)},"seq":{_field(e.seq)},'
+        f'"track":{_field(e.track)},"ts":{_field(e.ts_s)}}}\n'
+    )
+
+
 def event_to_dict(event: TraceEvent) -> Dict[str, Any]:
-    """One event as its JSONL object (JSON-safe args, stable keys)."""
-    return {
-        "args": _json_safe(event.args),
-        "cat": event.category,
-        "dur": event.dur_s,
-        "name": event.name,
-        "ph": event.phase,
-        "seq": event.seq,
-        "track": event.track,
-        "ts": event.ts_s,
-    }
+    """One event as its JSONL object (parsed back from :func:`event_line`)."""
+    return json.loads(event_line(event))
 
 
 def event_from_dict(record: Dict[str, Any]) -> TraceEvent:
@@ -98,8 +106,15 @@ def event_from_dict(record: Dict[str, Any]) -> TraceEvent:
         raise TraceSchemaError(f"event record missing field {exc}") from None
 
 
-def _dump(obj: Dict[str, Any]) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _header_line(meta: Optional[Dict[str, Any]]) -> str:
+    return (
+        f'{{"meta":{_json(meta or {})},"schema":{_field(SCHEMA)},'
+        f'"schema_version":{_field(schema_version_str())}}}\n'
+    )
+
+
+def _footer_line(events: int, fields: Dict[str, Any]) -> str:
+    return f'{{"footer":{_json({"events": events, **fields})}}}\n'
 
 
 class StreamingTraceWriter:
@@ -165,12 +180,7 @@ class StreamingTraceWriter:
         self._segment_bytes = 0
         self.events_written = 0
         self._closed = False
-        header = {
-            "meta": _json_safe(meta or {}),
-            "schema": SCHEMA,
-            "schema_version": schema_version_str(),
-        }
-        self._write_line(_dump(header) + "\n")
+        self._write_line(_header_line(meta))
 
     def attach(self, tracer: Tracer) -> "StreamingTraceWriter":
         """Register on ``tracer`` so every appended event streams out."""
@@ -209,7 +219,7 @@ class StreamingTraceWriter:
     def write_event(self, event: TraceEvent) -> None:
         if self._closed:
             raise ValueError("write_event() on a closed StreamingTraceWriter")
-        self._write_line(_dump(event_to_dict(event)) + "\n")
+        self._write_line(event_line(event))
         self.events_written += 1
 
     def close(self, **footer_fields: Any) -> None:
@@ -220,9 +230,7 @@ class StreamingTraceWriter:
         """
         if self._closed:
             return
-        footer = {"events": self.events_written}
-        footer.update(_json_safe(footer_fields))
-        self._file.write(_dump({"footer": footer}) + "\n")
+        self._file.write(_footer_line(self.events_written, footer_fields))
         self._file.flush()
         if self._owns_file:
             self._file.close()
@@ -379,18 +387,12 @@ def to_jsonl(
 
     The non-streaming sibling of :class:`StreamingTraceWriter` — same
     byte-stable format, for when the events already fit in memory.
+    Lines are joined in blocks of :data:`~repro.trace.export.BLOCK`
+    events before the final join.
     """
-    import io
-
-    events: List[TraceEvent]
-    if isinstance(source, Tracer):
-        source.finalize()
-        events = source.events
-    else:
-        events = sorted(source, key=TraceEvent.sort_key)
-    buf = io.StringIO()
-    writer = StreamingTraceWriter(buf, meta=meta)
-    for event in events:
-        writer.write_event(event)
-    writer.close(**footer_fields)
-    return buf.getvalue()
+    events = _events(source)
+    blocks = [_header_line(meta)]
+    for start in range(0, len(events), BLOCK):
+        blocks.append("".join([event_line(e) for e in events[start : start + BLOCK]]))
+    blocks.append(_footer_line(len(events), footer_fields))
+    return "".join(blocks)

@@ -52,6 +52,9 @@ class TraceEvent:
     ``ts_s``/``dur_s`` are virtual-time seconds; ``dur_s`` is ``None``
     for instants and counters. ``args`` is a (possibly empty) dict of
     JSON-safe values; counters store their value under ``"value"``.
+    The other fields are scalars (str, number or ``None``): the
+    exporters clamp ``args`` to JSON-safe values, but raise
+    ``TypeError`` on a container in any other field.
     """
 
     __slots__ = ("ts_s", "dur_s", "phase", "category", "track", "name", "seq", "args")

@@ -4,8 +4,12 @@ attached registry must not perturb the simulation at all."""
 
 import pytest
 
-from repro.harness.runner import CONSUMER_CORE
+from repro.core.system import PBPLSystem
+from repro.harness.params import StandardParams
+from repro.harness.runner import CONSUMER_CORE, Rig, base_trace
+from repro.impls.multi import phase_shifted_traces
 from repro.telemetry import (
+    MetricsRegistry,
     reconcile_core_wakeups,
     reconcile_counters,
     reconcile_energy,
@@ -83,3 +87,34 @@ def test_trace_bytes_unchanged_with_registry(metered_run):
     a = [event_to_dict(e) for e in bare.tracer.events]
     b = [event_to_dict(e) for e in metered_run.tracer.events]
     assert a == b
+
+
+@pytest.mark.parametrize("seed, scenario", [(101, "combined"), (102, "webserver")])
+def test_consumed_counter_reconciles_when_the_run_stops_mid_batch(seed, scenario):
+    """These runs end while a consumer is part-way through a batch:
+    its finished items must still reach items_consumed_total (batches
+    are credited whole, so the end-of-run flush credits the rest)."""
+    registry = MetricsRegistry()
+    run = record_run(
+        "PBPL", scenario, duration_s=6.0, n_consumers=5, seed=seed,
+        metrics=registry,
+    )
+    checks = reconcile_counters(registry.snapshot(), run.stats)
+    (consumed,) = [c for c in checks if c.name.startswith("items_consumed")]
+    assert consumed.ok, render_checks(checks)
+
+
+def test_flush_metrics_is_idempotent_and_resumable():
+    params = StandardParams(duration_s=2.0, seed=101)
+    rig = Rig.build(params, 0)
+    registry = MetricsRegistry()
+    system = PBPLSystem(
+        rig.env, rig.machine, phase_shifted_traces(base_trace(params, 0), 3),
+        params.pbpl_config(), consumer_cores=[CONSUMER_CORE], metrics=registry,
+    ).start()
+    consumed = lambda: registry.snapshot().total("items_consumed_total")  # noqa: E731
+    for until in (0.7, 1.3, 2.0):
+        rig.env.run(until=until)
+        system.flush_metrics()
+        system.flush_metrics()
+        assert consumed() == system.aggregate_stats().consumed

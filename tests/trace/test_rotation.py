@@ -111,3 +111,47 @@ def test_truncated_tail_raises_truncation_error(tmp_path):
     reader = TraceReader(path)
     with pytest.raises(TraceTruncatedError):
         list(reader.iter_events())
+
+
+def test_rotation_byte_count_is_exact_for_non_ascii_text(tmp_path):
+    # _write_line counts len(line) as bytes: that holds only because the
+    # writer escapes every non-ASCII character as \uXXXX.
+    path = tmp_path / "u.jsonl"
+    writer = StreamingTraceWriter(
+        path, meta={"host": "nœud-☃"}, rotate_bytes=2048
+    )
+    counted = []
+    rotate = writer._rotate
+
+    def spy():
+        counted.append(writer._segment_bytes)
+        rotate()
+
+    writer._rotate = spy
+    for i in range(120):
+        writer.write_event(
+            TraceEvent(
+                ts_s=i * 0.001, dur_s=None, phase="i", category="tést",
+                track="cœur-é", name="réveil ☕", seq=i,
+                args={"qui": "consommateur-ü", "n": i, "ключ": "значение"},
+            )
+        )
+    counted.append(writer._segment_bytes)
+    writer.close()
+    assert writer.segments_rotated >= 2
+
+    segments = [
+        gzip.decompress((tmp_path / f"u.jsonl.{k}.gz").read_bytes())
+        for k in range(1, writer.segments_rotated + 1)
+    ]
+    tail = path.read_bytes()
+    footer = tail[tail.rstrip(b"\n").rfind(b"\n") + 1:]
+    on_disk = [len(s) for s in segments] + [len(tail) - len(footer)]
+    assert on_disk == counted
+    for blob in segments + [tail]:
+        assert blob.isascii()
+    assert b"\\u2603" in segments[0]  # the header's snowman, escaped
+    events, reader = read_trace(path)
+    assert events[0].track == "cœur-é"
+    assert events[-1].args["ключ"] == "значение"
+    assert reader.meta == {"host": "nœud-☃"}

@@ -136,6 +136,8 @@ class SanitizerReport:
     races: List[SimultaneityRace] = field(default_factory=list)
     events_seen: int = 0
     contended_groups: int = 0  # timestamp groups with >= 2 events
+    #: What the sanitized run scored (set by :func:`sanitize_scenario`).
+    scored: Any = None
 
     @property
     def ok(self) -> bool:
@@ -281,7 +283,9 @@ class SanitizingEnvironment(Environment):
     Scheduling order, dispatch order and simulated behaviour are
     byte-identical to the base environment — the subclass only *records*
     (call sites at schedule time, touch sets at dispatch time) and
-    activates the probe hook while its run loop is live.
+    activates the probe hook while its run loop is live. Its loop never
+    arms :meth:`Environment.try_advance`, so every service slice is a
+    Timeout with a recorded call site.
     """
 
     def __init__(
@@ -460,10 +464,17 @@ def sanitize_scenario(
     n_consumers: int = 3,
     impl: str = "PBPL",
 ) -> SanitizerReport:
-    """Run one chaos scenario under the sanitizer and report races."""
+    """Run one chaos scenario under the sanitizer and report races.
+
+    The report's ``scored`` is the scenario's ResilienceMetrics. The
+    sanitized loop queues every slice as a Timeout, so it must equal
+    what the plain run loop scores.
+    """
     from repro.faults.chaos import run_scenario
 
     install_probes()
     env = SanitizingEnvironment()
-    run_scenario(scenario, params, n_consumers, env=env)
-    return env.sanitizer.finish()
+    scored = run_scenario(scenario, params, n_consumers, impl=impl, env=env)
+    report = env.sanitizer.finish()
+    report.scored = scored
+    return report

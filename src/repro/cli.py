@@ -282,25 +282,39 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(f"chaos: resilience violations in: {', '.join(bad)}", file=sys.stderr)
         rc = 1
     if args.sanitize:
-        rc = max(rc, _chaos_sanitize_pass(scenarios, args))
+        rc = max(rc, _chaos_sanitize_pass(scenarios, args, report.results))
     return rc
 
 
-def _chaos_sanitize_pass(scenarios, args: argparse.Namespace) -> int:
+def _chaos_sanitize_pass(scenarios, args: argparse.Namespace, plain) -> int:
     """Re-run each scenario serially under the simultaneity sanitizer.
 
     A separate pass on purpose: the sanitizing environment records call
     sites per scheduled event, which is too slow for the scored matrix
-    and is jobs-agnostic (probes are per-process state).
+    and is jobs-agnostic (probes are per-process state). Each sanitized
+    run must also score exactly what the plain run in ``plain`` did: its
+    loop never advances the clock in place, so this checks
+    ``Environment.try_advance`` end to end.
     """
+    import json
+
     from repro.analysis.sanitizer import sanitize_scenario
     from repro.harness.params import StandardParams
 
     params = StandardParams(duration_s=args.duration, seed=args.seed)
     info = sys.stderr if args.json else sys.stdout
-    races = 0
-    for scenario in scenarios:
+    races = mismatches = 0
+    for scenario, plain_result in zip(scenarios, plain):
         result = sanitize_scenario(scenario, params, n_consumers=args.consumers)
+        if json.dumps(result.scored.to_dict(), sort_keys=True) != json.dumps(
+            plain_result.to_dict(), sort_keys=True
+        ):
+            mismatches += 1
+            print(
+                f"sanitize: {scenario.name}: scored differently from the "
+                "plain run",
+                file=sys.stderr,
+            )
         status = "clean" if result.ok else f"{len(result.races)} RACE(S)"
         print(
             f"sanitize: {scenario.name}: {status} "
@@ -315,8 +329,7 @@ def _chaos_sanitize_pass(scenarios, args: argparse.Namespace) -> int:
                 print(race.render(), file=sys.stderr)
     if races:
         print(f"chaos --sanitize: {races} simultaneity race(s)", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if races or mismatches else 0
 
 
 def cmd_lint(args: argparse.Namespace) -> int:

@@ -394,6 +394,7 @@ class LatchingConsumer:
             # consumed the hold's pending wake/context-switch cost, so
             # the startup branch reduces to plain division.
             timeout = env.timeout
+            try_advance = env.try_advance
             speedup = core.pstates.speedup
             account_busy = core._account_busy
             owner = self.owner
@@ -408,12 +409,12 @@ class LatchingConsumer:
                     if base_cost
                     else item_cost_s(t)
                 )
-                if cost < 0:
-                    raise SimulationError(f"negative cpu time {cost!r}")
+                if not cost >= 0:
+                    raise SimulationError(f"cpu time {cost!r} is not >= 0")
                 if not core._pstate_settled:
                     core._reselect_pstate()
                 duration = cost / speedup(core.pstate)
-                if duration > 0:
+                if duration > 0 and not try_advance(duration):
                     yield timeout(duration)
                 account_busy(owner, duration)
                 stats.consumed += 1

@@ -253,8 +253,8 @@ class Core:
         granted inline — no grant event, no ``yield``; the only event
         made is the slice's timeout (none for a zero-length slice).
         """
-        if cpu_seconds < 0:
-            raise SimulationError(f"negative cpu time {cpu_seconds!r}")
+        if not cpu_seconds >= 0:
+            raise SimulationError(f"cpu time {cpu_seconds!r} is not >= 0")
         grant = self._request(owner, after_block)
         if grant is not None:
             yield grant
@@ -263,7 +263,7 @@ class Core:
         if not self._pstate_settled:
             self._reselect_pstate()
         duration = self._slice_s(cpu_seconds, latency, self.context_switch_s)
-        if duration > 0:
+        if duration > 0 and not self.env.try_advance(duration):
             yield self.env.timeout(duration)
         self._account_busy(owner, duration)
         self._busy = False
@@ -395,14 +395,14 @@ class CoreHold:
         """
         if self._released:
             raise SimulationError("operation on a released CoreHold")
-        if cpu_seconds < 0:
-            raise SimulationError(f"negative cpu time {cpu_seconds!r}")
+        if not cpu_seconds >= 0:
+            raise SimulationError(f"cpu time {cpu_seconds!r} is not >= 0")
         core = self.core
         core._reselect_pstate()
         duration = core._slice_s(cpu_seconds, self._latency_s, self._ctx_s)
         self._latency_s = 0.0
         self._ctx_s = 0.0
-        if duration > 0:
+        if duration > 0 and not core.env.try_advance(duration):
             yield core.env.timeout(duration)
         core._account_busy(self.owner, duration)
         return duration

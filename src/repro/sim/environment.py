@@ -14,6 +14,12 @@ locals once and pops straight off the heap without per-event method
 calls. :meth:`step` remains for callers that need single-event
 control; both share :meth:`_pop_entry`, which is also the supported
 surface for the sanitizer's and profiler's instrumented run loops.
+
+While :meth:`run` loops, a process may advance the clock in place with
+:meth:`try_advance` instead of a heap round trip through a
+:class:`Timeout`, when nothing else could run before the slice ends.
+Only :meth:`run` arms that fast path; :meth:`step` and the
+instrumented loops never do, so they see every slice as a Timeout.
 """
 
 from __future__ import annotations
@@ -70,6 +76,11 @@ class Environment:
         #: ``repro metrics overhead`` checks that a live registry leaves
         #: it unchanged.
         self.events_processed = 0
+        #: ``run``'s stop time while its loop is live, else ``-inf``
+        #: (which turns :meth:`try_advance` off).
+        self._stop_at = float("-inf")
+        #: Callbacks of the event ``run`` is dispatching.
+        self._dispatching: list = [None]
 
     # -- clock & introspection ------------------------------------------
     @property
@@ -87,8 +98,12 @@ class Environment:
     # -- scheduling -------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Queue a triggered event for processing ``delay`` from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        # ``not delay >= 0`` also rejects NaN, which would corrupt the
+        # heap order and silently end the run.
+        if not delay >= 0:
+            raise SimulationError(
+                f"cannot schedule {delay!r} from now: delay must be >= 0"
+            )
         heappush(self._queue, (self.now + delay, priority, next(self._eid), event))
 
     def _pop_entry(self) -> Optional[tuple]:
@@ -113,8 +128,8 @@ class Environment:
         Timeout is built inline — same invariants as
         :class:`~repro.sim.events.Timeout`, no layered ``__init__``.
         """
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:
+            raise SimulationError(f"timeout delay {delay!r} is not >= 0")
         event = Timeout.__new__(Timeout)
         event.env = self
         event.callbacks = []
@@ -125,6 +140,37 @@ class Environment:
         event.delay = delay
         heappush(self._queue, (self.now + delay, NORMAL, next(self._eid), event))
         return event
+
+    def try_advance(self, delay: float) -> bool:
+        """Advance the clock by ``delay`` in place, if that is exactly
+        what ``yield self.timeout(delay)`` would do.
+
+        Use as ``if not env.try_advance(d): yield env.timeout(d)`` in a
+        process. Returns True, with :attr:`now` set to ``now + delay``,
+        only when :meth:`run` is looping, the new time is before its
+        stop time and strictly before every queued event (an equal
+        time would lose the eid tie-break), and the calling process was
+        resumed by the last callback of the event being dispatched, so
+        no other callback runs in between. The timeout's eid and
+        processed-event count are still taken, so every later eid and
+        :attr:`events_processed` stay what the heap would have made.
+        """
+        if not delay >= 0:
+            raise SimulationError(f"advance delay {delay!r} is not >= 0")
+        when = self.now + delay
+        if when < self._stop_at:
+            queue = self._queue
+            process = self._active_process
+            if (
+                (not queue or when < queue[0][0])
+                and process is not None
+                and self._dispatching[-1] is process._resume_cb
+            ):
+                self.now = when
+                self.events_processed += 1
+                next(self._eid)
+                return True
+        return False
 
     def event(self) -> Event:
         """A fresh untriggered event (trigger it with succeed/fail)."""
@@ -179,12 +225,14 @@ class Environment:
         stop_at = float("inf")
         try:
             stop_at, watched = self._arm_until(until)
+            self._stop_at = stop_at
             while queue and queue[0][0] < stop_at:
                 when, _prio, _eid, event = pop(queue)
                 self.now = when
                 processed += 1
                 callbacks = event.callbacks
                 event.callbacks = None
+                self._dispatching = callbacks
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event._defused:
@@ -197,6 +245,7 @@ class Environment:
                 raise stop.event._exc from None
             return stop.event._value
         finally:
+            self._stop_at = float("-inf")
             self.events_processed += processed
         if watched is not None:
             raise SimulationError(
@@ -225,9 +274,9 @@ class Environment:
             watched.callbacks.append(self._stop_callback)
         elif until is not None:
             stop_at = float(until)
-            if stop_at < self.now:
+            if not stop_at >= self.now:
                 raise SimulationError(
-                    f"run(until={stop_at}) is in the past (now={self.now})"
+                    f"run(until={stop_at}) is NaN or in the past (now={self.now})"
                 )
         return stop_at, watched
 

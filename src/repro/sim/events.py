@@ -141,8 +141,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:
+            raise SimulationError(f"timeout delay {delay!r} is not >= 0")
         super().__init__(env)
         self.delay = delay
         self._ok = True

@@ -111,7 +111,9 @@ class KernelProfiler:
         Drives the event queue through its single-event surface
         (``peek`` / ``_pop_entry``) — dispatch order and counts stay
         byte-identical to :meth:`Environment.run`, only the per-callback
-        timing wrappers differ.
+        timing wrappers differ. It never arms
+        :meth:`Environment.try_advance`, so every service slice is a
+        Timeout dispatch here.
         """
         pop_entry = env._pop_entry
         peek = env.peek

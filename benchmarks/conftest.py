@@ -1,20 +1,26 @@
 """Shared fixtures for the figure-reproduction benchmarks.
 
 Every benchmark regenerates one of the paper's figures/tables: it runs
-the experiment grid, prints the text figure (also saved under
-``results/``), asserts the paper's qualitative shape, and reports the
-grid's wall-clock runtime through pytest-benchmark.
+its experiments, prints the text figure (also saved under ``results/``
+and into its block in EXPERIMENTS.md), and asserts the paper's
+qualitative shape. The §VI figures, the §VI-C scalars and the PBPL
+ablations at the Figure 9 cell read one session grid, so each cell is
+simulated once per session. Wall time is measured by ``bench/``, not
+here.
 
-Run:  pytest benchmarks/ --benchmark-only -s
+Run:  pytest benchmarks -s
 """
 
+import re
 from pathlib import Path
 
 import pytest
 
-from repro.harness import StandardParams
+from repro.harness import ExperimentGrid, StandardParams
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS_DIR = ROOT / "results"
+EXPERIMENTS_MD = ROOT / "EXPERIMENTS.md"
 
 
 @pytest.fixture(scope="session")
@@ -24,12 +30,32 @@ def bench_params() -> StandardParams:
 
 
 @pytest.fixture(scope="session")
+def grid(bench_params) -> ExperimentGrid:
+    """The §VI run plan shared by every benchmark on ``bench_params``."""
+    return ExperimentGrid(bench_params)
+
+
+def write_block(doc: str, name: str, text: str) -> str:
+    """``doc`` with the fenced block between its two
+    ``<!-- results/<name>.txt -->`` markers replaced by ``text``."""
+    marker = f"<!-- results/{name}.txt -->"
+    pattern = re.compile(re.escape(marker) + r"\n.*?" + re.escape(marker), re.S)
+    block = f"{marker}\n```\n{text}\n```\n{marker}"
+    return pattern.sub(lambda _: block, doc)
+
+
+@pytest.fixture(scope="session")
 def save_result():
-    """Print a rendered figure and persist it under results/."""
+    """Print a rendered figure and persist it under results/ and, where
+    EXPERIMENTS.md has markers for it, into that document."""
 
     def _save(name: str, text: str) -> None:
         RESULTS_DIR.mkdir(exist_ok=True)
         (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+        doc = EXPERIMENTS_MD.read_text(encoding="utf-8")
+        updated = write_block(doc, name, text)
+        if updated != doc:
+            EXPERIMENTS_MD.write_text(updated, encoding="utf-8")
         print(f"\n{text}\n[saved to results/{name}.txt]")
 
     return _save

@@ -64,23 +64,19 @@ def average(dicts):
     return {k: sum(d[k] for d in dicts) / len(dicts) for k in dicts[0]}
 
 
-def test_cluster_alignment(benchmark, bench_params, save_result):
+def test_cluster_alignment(bench_params, save_result):
     # Background daemons run on core 1 in the standard rig; here both
     # cores host consumers, so disable the background for a clean read.
     from dataclasses import replace
 
     params = replace(bench_params, background=False)
 
-    def grid():
-        shared = average(
-            [run_variant(params, False, r) for r in range(params.replicates)]
-        )
-        staggered = average(
-            [run_variant(params, True, r) for r in range(params.replicates)]
-        )
-        return shared, staggered
-
-    shared, staggered = benchmark.pedantic(grid, rounds=1, iterations=1)
+    shared = average(
+        [run_variant(params, False, r) for r in range(params.replicates)]
+    )
+    staggered = average(
+        [run_variant(params, True, r) for r in range(params.replicates)]
+    )
     table = render_table(
         ["grid origins", "gated s", "saved mJ", "gate cycles", "machine wakeups/s"],
         [

@@ -11,30 +11,17 @@ overflows into shared drains (a latched consumer drains *earlier* than
 its fill horizon, so bursts land in emptier buffers).
 """
 
-from repro.harness import render_table, run_multi
+from repro.harness import CellSpec, render_table
 from repro.metrics import summarise
 
 
-def run_variant(params, enable_latching):
-    runs = [
-        run_multi(
-            "PBPL",
-            5,
-            params,
-            rep,
-            pbpl_overrides={"enable_latching": enable_latching},
-        )
-        for rep in range(params.replicates)
-    ]
-    return summarise(runs)
+def run_variant(grid, enable_latching):
+    spec = CellSpec.make("PBPL", pbpl_overrides={"enable_latching": enable_latching})
+    return summarise(grid.run([spec]))
 
 
-def test_ablation_latching(benchmark, bench_params, save_result):
-    on, off = benchmark.pedantic(
-        lambda: (run_variant(bench_params, True), run_variant(bench_params, False)),
-        rounds=1,
-        iterations=1,
-    )
+def test_ablation_latching(grid, save_result):
+    on, off = run_variant(grid, True), run_variant(grid, False)
     table = render_table(
         ["variant", "sched wakeups", "overflow wakeups", "core wakeups/s", "power mW"],
         [

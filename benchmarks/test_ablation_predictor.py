@@ -8,26 +8,19 @@ PBPL's slot grid and the resize margin absorb most prediction error —
 with differences showing up in overflow wakeups.
 """
 
-from repro.harness import render_table, run_multi
+from repro.harness import CellSpec, render_table
 from repro.metrics import summarise
 
 PREDICTORS = ("moving-average", "ewma", "kalman")
 
 
-def run_variant(params, predictor):
-    runs = [
-        run_multi("PBPL", 5, params, rep, pbpl_overrides={"predictor": predictor})
-        for rep in range(params.replicates)
-    ]
-    return summarise(runs)
+def run_variant(grid, predictor):
+    spec = CellSpec.make("PBPL", pbpl_overrides={"predictor": predictor})
+    return summarise(grid.run([spec]))
 
 
-def test_ablation_predictor(benchmark, bench_params, save_result):
-    results = benchmark.pedantic(
-        lambda: {p: run_variant(bench_params, p) for p in PREDICTORS},
-        rounds=1,
-        iterations=1,
-    )
+def test_ablation_predictor(grid, save_result):
+    results = {p: run_variant(grid, p) for p in PREDICTORS}
     rows = [
         (
             name,

@@ -52,17 +52,13 @@ def average(dicts):
     return {k: sum(d[k] for d in dicts) / len(dicts) for k in keys}
 
 
-def test_ablation_resizing(benchmark, bench_params, save_result):
-    def grid():
-        on = average(
-            [run_variant(bench_params, True, r) for r in range(bench_params.replicates)]
-        )
-        off = average(
-            [run_variant(bench_params, False, r) for r in range(bench_params.replicates)]
-        )
-        return on, off
-
-    on, off = benchmark.pedantic(grid, rounds=1, iterations=1)
+def test_ablation_resizing(bench_params, save_result):
+    on = average(
+        [run_variant(bench_params, True, r) for r in range(bench_params.replicates)]
+    )
+    off = average(
+        [run_variant(bench_params, False, r) for r in range(bench_params.replicates)]
+    )
     table = render_table(
         ["variant", "overflow wakeups", "hot buffer", "avg buffer", "core wakeups/s"],
         [

@@ -49,16 +49,13 @@ def average(points):
     return {k: sum(p[k] for p in points) / len(points) for k in keys}
 
 
-def test_resource_aware_pareto_front(benchmark, bench_params, save_result):
-    def sweep():
-        return {
-            e: average(
-                [run_point(bench_params, e, r) for r in range(bench_params.replicates)]
-            )
-            for e in EMPHASES
-        }
-
-    front = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_resource_aware_pareto_front(bench_params, save_result):
+    front = {
+        e: average(
+            [run_point(bench_params, e, r) for r in range(bench_params.replicates)]
+        )
+        for e in EMPHASES
+    }
     rows = [
         (
             f"{e:.2f}",

@@ -35,20 +35,17 @@ class SaturatingParams(StandardParams):
         return config
 
 
-def test_ablation_saturation(benchmark, bench_params, save_result):
+def test_ablation_saturation(bench_params, save_result):
     params = SaturatingParams(
         duration_s=bench_params.duration_s, replicates=bench_params.replicates
     )
 
-    def grid():
-        return {
-            n: summarise(
-                [run_multi("Mutex", n, params, rep) for rep in range(params.replicates)]
-            )
-            for n in (2, 5, 10)
-        }
-
-    results = benchmark.pedantic(grid, rounds=1, iterations=1)
+    results = {
+        n: summarise(
+            [run_multi("Mutex", n, params, rep) for rep in range(params.replicates)]
+        )
+        for n in (2, 5, 10)
+    }
     rows = [
         (
             f"{n} consumers",

@@ -13,32 +13,19 @@ a decrease in the number of wakeups." This bench shows what
 * the calibrated default sits near the knee.
 """
 
-from repro.harness import render_table, run_multi
+from repro.harness import CellSpec, render_table
 from repro.metrics import summarise
 
 SLOTS_MS = (1.0, 2.5, 5.0, 10.0, 20.0)
 
 
-def run_variant(params, slot_ms):
-    runs = [
-        run_multi(
-            "PBPL",
-            5,
-            params,
-            rep,
-            pbpl_overrides={"slot_size_s": slot_ms * 1e-3},
-        )
-        for rep in range(params.replicates)
-    ]
-    return summarise(runs)
+def run_variant(grid, slot_ms):
+    spec = CellSpec.make("PBPL", pbpl_overrides={"slot_size_s": slot_ms * 1e-3})
+    return summarise(grid.run([spec]))
 
 
-def test_ablation_slot_size(benchmark, bench_params, save_result):
-    results = benchmark.pedantic(
-        lambda: {ms: run_variant(bench_params, ms) for ms in SLOTS_MS},
-        rounds=1,
-        iterations=1,
-    )
+def test_ablation_slot_size(grid, save_result):
+    results = {ms: run_variant(grid, ms) for ms in SLOTS_MS}
     rows = [
         (
             f"Δ = {ms:g} ms",

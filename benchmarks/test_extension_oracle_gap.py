@@ -67,19 +67,13 @@ def average(points):
     return {k: sum(p[k] for p in points) / len(points) for k in points[0]}
 
 
-def test_oracle_gap(benchmark, bench_params, save_result):
-    def grid():
-        return {
-            kind: average(
-                [
-                    run_point(bench_params, kind, r)
-                    for r in range(bench_params.replicates)
-                ]
-            )
-            for kind in ("oracle", "PBPL", "EDF")
-        }
-
-    results = benchmark.pedantic(grid, rounds=1, iterations=1)
+def test_oracle_gap(bench_params, save_result):
+    results = {
+        kind: average(
+            [run_point(bench_params, kind, r) for r in range(bench_params.replicates)]
+        )
+        for kind in ("oracle", "PBPL", "EDF")
+    }
     oracle_w = results["oracle"]["wakeups_per_s"]
     rows = [
         (

@@ -56,19 +56,13 @@ def average(points):
     return {k: sum(p[k] for p in points) / len(points) for k in points[0]}
 
 
-def test_selfsimilar_stress(benchmark, bench_params, save_result):
-    def grid():
-        return {
-            kind: average(
-                [
-                    run_point(bench_params, kind, r)
-                    for r in range(bench_params.replicates)
-                ]
-            )
-            for kind in ("Mutex", "BP", "PBPL")
-        }
-
-    results = benchmark.pedantic(grid, rounds=1, iterations=1)
+def test_selfsimilar_stress(bench_params, save_result):
+    results = {
+        kind: average(
+            [run_point(bench_params, kind, r) for r in range(bench_params.replicates)]
+        )
+        for kind in ("Mutex", "BP", "PBPL")
+    }
     rows = [
         (
             kind,

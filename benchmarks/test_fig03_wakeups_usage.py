@@ -12,8 +12,8 @@ Paper shape asserted:
 """
 
 
-def test_fig03_wakeups_vs_usage(benchmark, profile_study, save_result):
-    result = benchmark.pedantic(lambda: profile_study, rounds=1, iterations=1)
+def test_fig03_wakeups_vs_usage(profile_study, save_result):
+    result = profile_study
     save_result("fig03_fig04_profile", result.render())
     s = result.summaries
 

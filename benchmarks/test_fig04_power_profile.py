@@ -12,8 +12,8 @@ Paper shape asserted:
 """
 
 
-def test_fig04_power_ordering_and_stats(benchmark, profile_study, save_result):
-    result = benchmark.pedantic(lambda: profile_study, rounds=1, iterations=1)
+def test_fig04_power_ordering_and_stats(profile_study, save_result):
+    result = profile_study
     save_result("fig04_stats", result.render())
     s = result.summaries
 

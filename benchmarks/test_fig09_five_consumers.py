@@ -13,12 +13,8 @@ from repro.harness import run_multi_comparison
 from repro.metrics import pearson
 
 
-def test_fig09_five_consumers(benchmark, bench_params, save_result):
-    result = benchmark.pedantic(
-        lambda: run_multi_comparison(bench_params, n_consumers=5),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig09_five_consumers(grid, save_result):
+    result = run_multi_comparison(grid, n_consumers=5)
     save_result("fig09_five_consumers", result.render())
     s = result.summaries
 

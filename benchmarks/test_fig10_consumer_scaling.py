@@ -19,12 +19,8 @@ benchmark reproduces the falling-wakeups effect separately.
 from repro.harness import run_consumer_scaling
 
 
-def test_fig10_consumer_scaling(benchmark, bench_params, save_result):
-    result = benchmark.pedantic(
-        lambda: run_consumer_scaling(bench_params, counts=(2, 5, 10)),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig10_consumer_scaling(grid, save_result):
+    result = run_consumer_scaling(grid, counts=(2, 5, 10))
     save_result("fig10_consumer_scaling", result.render())
 
     # Power rises with consumer count for every implementation.

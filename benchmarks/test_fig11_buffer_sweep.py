@@ -15,12 +15,8 @@ from repro.harness import run_buffer_sweep
 SIZES = (25, 50, 100)
 
 
-def test_fig11_buffer_sweep(benchmark, bench_params, save_result):
-    result = benchmark.pedantic(
-        lambda: run_buffer_sweep(bench_params, sizes=SIZES),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig11_buffer_sweep(grid, save_result):
+    result = run_buffer_sweep(grid, sizes=SIZES)
     save_result("fig11_buffer_sweep", result.render())
 
     for name in ("BP", "PBPL"):

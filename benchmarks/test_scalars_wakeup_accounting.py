@@ -18,13 +18,9 @@ like the paper's quote):
 from repro.harness import run_wakeup_accounting
 
 
-def test_scalar_wakeup_accounting(benchmark, bench_params, save_result):
-    acc25 = benchmark.pedantic(
-        lambda: run_wakeup_accounting(bench_params, buffer_size=25),
-        rounds=1,
-        iterations=1,
-    )
-    acc50 = run_wakeup_accounting(bench_params, buffer_size=50)
+def test_scalar_wakeup_accounting(grid, save_result):
+    acc25 = run_wakeup_accounting(grid, buffer_size=25)
+    acc50 = run_wakeup_accounting(grid, buffer_size=50)
     save_result(
         "scalars_wakeup_accounting",
         acc25.render() + "\n\n" + acc50.render(),

@@ -2,12 +2,7 @@
 
 from repro.harness.background import BackgroundKernelLoad
 from repro.harness.grid import CellSpec, ExperimentGrid
-from repro.harness.export import (
-    runs_from_csv,
-    runs_from_json,
-    runs_to_csv,
-    runs_to_json,
-)
+from repro.harness.export import runs_from_csv, runs_to_csv
 from repro.harness.sanity import (
     SanityCheck,
     SanityReport,
@@ -80,9 +75,7 @@ __all__ = [
     "quick_params",
     "run_sanity_checks",
     "runs_from_csv",
-    "runs_from_json",
     "runs_to_csv",
-    "runs_to_json",
     "render_comparison",
     "render_series",
     "resolve_jobs",

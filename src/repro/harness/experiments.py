@@ -5,19 +5,23 @@ Every function returns a result object holding the raw per-replicate
 ``render()`` producing the text analogue of the paper's figure, plus
 the derived comparisons the paper quotes in prose (percent reductions,
 correlations, the significance test).
+
+Figures 9/10/11 and the §VI-C scalars are views over an
+:class:`~repro.harness.grid.ExperimentGrid`: pass one grid to several
+of them and each §VI cell is simulated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.harness.grid import CellSpec, ExperimentGrid
 from repro.harness.parallel import ParallelExecutor
 from repro.harness.params import StandardParams
 from repro.harness.runner import (
     MULTI_IMPLEMENTATIONS,
     STUDY_IMPLEMENTATIONS,
-    run_multi,
     run_single_pair,
 )
 from repro.harness.tables import render_table
@@ -40,19 +44,22 @@ def _cells(
     return cells
 
 
-# Module-level task wrappers: picklable by reference, so the same entry
-# points run serially (jobs=1) or across a process pool (jobs=N) with
-# byte-identical, order-preserved results.
-
-
 def _single_pair_task(task) -> RunMetrics:
+    """Module-level, so a process pool pickles it by reference."""
     name, params, replicate = task
     return run_single_pair(name, params, replicate)
 
 
-def _multi_task(task) -> RunMetrics:
-    name, n_consumers, params, replicate, buffer_size = task
-    return run_multi(name, n_consumers, params, replicate, buffer_size=buffer_size)
+#: The §VI views take either parameters (a fresh grid for that call,
+#: which simulates every run it returns; ``jobs`` sizes its executor)
+#: or a grid shared between views (which keeps its own executor).
+ParamsOrGrid = Union[StandardParams, ExperimentGrid, None]
+
+
+def _grid(params_or_grid: ParamsOrGrid, jobs: Optional[int]) -> ExperimentGrid:
+    if isinstance(params_or_grid, ExperimentGrid):
+        return params_or_grid
+    return ExperimentGrid(params_or_grid or StandardParams(), jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -224,31 +231,19 @@ class MultiComparisonResult:
 
 
 def run_multi_comparison(
-    params: Optional[StandardParams] = None,
+    params: ParamsOrGrid = None,
     n_consumers: int = 5,
     buffer_size: Optional[int] = None,
     implementations: Sequence[str] = MULTI_IMPLEMENTATIONS,
     jobs: Optional[int] = None,
 ) -> MultiComparisonResult:
     """Reproduce Figure 9 (or one cell of Figures 10/11)."""
-    params = params or StandardParams()
-    buf = buffer_size or params.buffer_size
-    runs = ParallelExecutor(jobs).map(
-        _multi_task,
-        [
-            (name, n_consumers, params, replicate, buf)
-            for name in implementations
-            for replicate in range(params.replicates)
-        ],
-        labels=[
-            f"{name} x{n_consumers} r{replicate}"
-            for name in implementations
-            for replicate in range(params.replicates)
-        ],
-    )
+    grid = _grid(params, jobs)
+    buf = buffer_size or grid.params.buffer_size
+    runs = grid.run([CellSpec(name, n_consumers, buf) for name in implementations])
     summaries = {key[0]: summarise(cell) for key, cell in _cells(runs).items()}
     return MultiComparisonResult(
-        params=params,
+        params=grid.params,
         n_consumers=n_consumers,
         buffer_size=buf,
         runs=runs,
@@ -311,15 +306,16 @@ class ConsumerScalingResult:
 
 
 def run_consumer_scaling(
-    params: Optional[StandardParams] = None,
+    params: ParamsOrGrid = None,
     counts: Sequence[int] = (2, 5, 10),
     jobs: Optional[int] = None,
 ) -> ConsumerScalingResult:
     """Reproduce Figure 10."""
-    params = params or StandardParams()
-    result = ConsumerScalingResult(params=params, counts=tuple(counts))
+    grid = _grid(params, jobs)
+    grid.run([CellSpec(name, n) for n in counts for name in MULTI_IMPLEMENTATIONS])
+    result = ConsumerScalingResult(params=grid.params, counts=tuple(counts))
     for n in counts:
-        result.cells[n] = run_multi_comparison(params, n_consumers=n, jobs=jobs)
+        result.cells[n] = run_multi_comparison(grid, n_consumers=n)
     return result
 
 
@@ -369,23 +365,21 @@ class BufferSweepResult:
 
 
 def run_buffer_sweep(
-    params: Optional[StandardParams] = None,
+    params: ParamsOrGrid = None,
     sizes: Sequence[int] = (25, 50, 100),
     n_consumers: int = 5,
     jobs: Optional[int] = None,
 ) -> BufferSweepResult:
     """Reproduce Figure 11."""
-    params = params or StandardParams()
+    grid = _grid(params, jobs)
+    impls = ("BP", "PBPL")
+    grid.run([CellSpec(name, n_consumers, b) for b in sizes for name in impls])
     result = BufferSweepResult(
-        params=params, sizes=tuple(sizes), n_consumers=n_consumers
+        params=grid.params, sizes=tuple(sizes), n_consumers=n_consumers
     )
     for size in sizes:
         result.cells[size] = run_multi_comparison(
-            params,
-            n_consumers=n_consumers,
-            buffer_size=size,
-            implementations=("BP", "PBPL"),
-            jobs=jobs,
+            grid, n_consumers=n_consumers, buffer_size=size, implementations=impls
         )
     return result
 
@@ -460,26 +454,21 @@ class WakeupAccountingResult:
 
 
 def run_wakeup_accounting(
-    params: Optional[StandardParams] = None,
+    params: ParamsOrGrid = None,
     buffer_size: int = 50,
     n_consumers: int = 5,
     jobs: Optional[int] = None,
 ) -> WakeupAccountingResult:
     """Reproduce the §VI-C in-text scheduled/overflow wakeup numbers."""
-    params = params or StandardParams()
-    reps = range(params.replicates)
-    runs = ParallelExecutor(jobs).map(
-        _multi_task,
-        [("PBPL", n_consumers, params, rep, buffer_size) for rep in reps]
-        + [("BP", n_consumers, params, rep, buffer_size) for rep in reps],
-        labels=[f"PBPL r{rep}" for rep in reps] + [f"BP r{rep}" for rep in reps],
+    grid = _grid(params, jobs)
+    runs = grid.run(
+        [CellSpec(name, n_consumers, buffer_size) for name in ("PBPL", "BP")]
     )
-    runs_pbpl = runs[: params.replicates]
-    runs_bp = runs[params.replicates :]
+    replicates = grid.params.replicates
     return WakeupAccountingResult(
-        params=params,
+        params=grid.params,
         buffer_size=buffer_size,
         n_consumers=n_consumers,
-        pbpl=summarise(runs_pbpl),
-        bp=summarise(runs_bp),
+        pbpl=summarise(runs[:replicates]),
+        bp=summarise(runs[replicates:]),
     )

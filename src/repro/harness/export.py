@@ -1,4 +1,4 @@
-"""Export experiment results to CSV / JSON.
+"""Export experiment results to CSV.
 
 The figure renderers produce human-readable tables; downstream analysis
 (spreadsheets, plotting, regression dashboards) wants machine-readable
@@ -10,7 +10,6 @@ re-summarise without re-simulation.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import List, Sequence, Union
@@ -40,20 +39,6 @@ def runs_from_csv(path: Union[str, Path]) -> List[RunMetrics]:
         for row in reader:
             out.append(_coerce(row))
     return out
-
-
-def runs_to_json(runs: Sequence[RunMetrics], path: Union[str, Path]) -> None:
-    """Write runs as a JSON list of objects."""
-    payload = [asdict(run) for run in runs]
-    Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
-
-
-def runs_from_json(path: Union[str, Path]) -> List[RunMetrics]:
-    """Read runs written by :func:`runs_to_json`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, list):
-        raise ValueError(f"{path}: expected a JSON list of runs")
-    return [_coerce(obj) for obj in payload]
 
 
 def _coerce(row: dict) -> RunMetrics:

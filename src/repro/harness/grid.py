@@ -1,35 +1,28 @@
-"""Cached experiment grids: sweep cells once, reuse forever.
+"""The §VI run plan: every evaluation cell simulated once per grid.
 
-Large sweeps (many implementations × consumer counts × buffer sizes ×
-replicates) dominate the cost of iterating on analysis code. Every cell
-of a grid is deterministic given its parameters, so results are safely
-cacheable: a cell's runs serialise to JSON keyed by a digest of the
-full parameter set, and re-running the grid after editing only the
-analysis is free.
+The paper's multi-pair evaluation is one grid — implementation ×
+consumers × buffer size — and its figures are views through it:
+Figure 9 is one column, Figures 10 and 11 are a row and a column
+through the Figure 9 cell, and the §VI-C scalars reuse the BP/PBPL
+cells at B0 = 25 and 50. An :class:`ExperimentGrid` holds the runs it
+has simulated in memory, keyed on the *resolved* cell, so every view
+that asks for a cell it already holds gets the same
+:class:`~repro.metrics.run.RunMetrics` back instead of a re-run.
+
+The memo lives on the grid object, never at module level: a fresh grid
+(what each standalone ``run_*`` call builds) simulates every run it
+returns.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import logging
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import astuple, dataclass
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro._version import __version__
-from repro.harness.export import runs_from_json, runs_to_json
 from repro.harness.parallel import ParallelExecutor
 from repro.harness.params import StandardParams
 from repro.harness.runner import run_multi
-from repro.metrics.run import RunMetrics, Summary, summarise
-
-logger = logging.getLogger(__name__)
-
-#: Revision of the cached cell-result payload. Bump when the meaning or
-#: shape of a serialised :class:`RunMetrics` changes so stale caches
-#: invalidate instead of deserialising into nonsense.
-CELL_SCHEMA_VERSION = 2
+from repro.metrics.run import RunMetrics
 
 
 @dataclass(frozen=True)
@@ -56,140 +49,51 @@ class CellSpec:
 
 
 class ExperimentGrid:
-    """Runs cells against one parameter set, caching results on disk.
+    """Runs cells against one parameter set, each (cell, replicate) once.
 
-    Parameters
-    ----------
-    params:
-        The shared :class:`StandardParams` (its fields are part of every
-        cache key — changing the duration or seed invalidates cleanly).
-    cache_dir:
-        Where to keep per-cell JSON results; None disables caching.
+    ``jobs=None`` honours ``$REPRO_JOBS``.
     """
 
-    def __init__(
-        self,
-        params: StandardParams,
-        cache_dir: Optional[Path] = None,
-        jobs: Optional[int] = None,
-    ) -> None:
+    def __init__(self, params: StandardParams, jobs: Optional[int] = None) -> None:
         self.params = params
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-        #: Run-dispatch engine; jobs=None honours ``$REPRO_JOBS``.
         self.executor = ParallelExecutor(jobs)
-        #: Cells computed this session (cache hits included).
-        self.cells_run = 0
-        #: Cells served from the disk cache.
-        self.cache_hits = 0
+        self._runs: Dict[Tuple[Hashable, int], RunMetrics] = {}
 
-    # -- cache plumbing ------------------------------------------------------
-    def _key(self, spec: CellSpec) -> str:
-        payload = {
-            "params": asdict(self.params),
-            "spec": asdict(spec),
-            # Release + cell-schema token: caches written by a different
-            # repro version or result-schema revision never collide.
-            "version": {"repro": __version__, "cell_schema": CELL_SCHEMA_VERSION},
-        }
-        blob = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:24]
+    def _cell_key(self, spec: CellSpec) -> Hashable:
+        """What the simulation actually depends on: the buffer resolved
+        against the params, and for PBPL the full resolved config, so an
+        override equal to its default lands on the default cell."""
+        buf = spec.buffer_size or self.params.buffer_size
+        if spec.implementation != "PBPL":
+            return (spec.implementation, spec.n_consumers, buf)
+        config = self.params.pbpl_config(buf, **spec.overrides_dict())
+        return (spec.implementation, spec.n_consumers, buf, astuple(config))
 
-    def _cache_path(self, spec: CellSpec) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"cell-{self._key(spec)}.json"
+    def run(self, specs: Sequence[CellSpec]) -> List[RunMetrics]:
+        """Every replicate of every spec, in spec × replicate order.
 
-    # -- execution ----------------------------------------------------------------
-    def _load_cached(self, spec: CellSpec) -> Optional[List[RunMetrics]]:
-        self.cells_run += 1
-        path = self._cache_path(spec)
-        if path is not None and path.exists():
-            self.cache_hits += 1
-            logger.debug("grid cache hit: %s", spec)
-            return runs_from_json(path)
-        logger.debug("grid cache miss: %s", spec)
-        return None
-
-    def _store(self, spec: CellSpec, runs: List[RunMetrics]) -> None:
-        path = self._cache_path(spec)
-        if path is not None:
-            runs_to_json(runs, path)
-
-    def run_cell(self, spec: CellSpec) -> List[RunMetrics]:
-        """All replicates of one cell (from cache when possible)."""
-        cached = self._load_cached(spec)
-        if cached is not None:
-            return cached
+        Only the (cell, replicate) pairs this grid does not hold yet are
+        simulated, in one executor map and in that same order, so a
+        multi-job executor keeps every worker busy and the result is
+        byte-identical to the serial sweep.
+        """
+        replicates = range(self.params.replicates)
+        cells = [(spec, self._cell_key(spec)) for spec in specs]
+        missing: Dict[Tuple[Hashable, int], Tuple] = {}
+        for spec, key in cells:
+            for replicate in replicates:
+                if (key, replicate) not in self._runs:
+                    missing.setdefault((key, replicate), (spec, self.params, replicate))
         runs = self.executor.map(
             _replicate_task,
-            [
-                (spec, self.params, replicate)
-                for replicate in range(self.params.replicates)
-            ],
+            list(missing.values()),
             labels=[
-                f"{spec.implementation} r{replicate}"
-                for replicate in range(self.params.replicates)
+                f"{spec.implementation} x{spec.n_consumers} r{replicate}"
+                for spec, _, replicate in missing.values()
             ],
         )
-        self._store(spec, runs)
-        return runs
-
-    def run(self, specs: Sequence[CellSpec]) -> Dict[CellSpec, Summary]:
-        """Run (or load) every cell; returns per-cell summaries.
-
-        Cache misses across *all* cells are flattened into one
-        ``(spec, replicate)`` task list so a multi-job executor keeps
-        every worker busy even when cells are few and replicates many.
-        Results are reassembled in spec × replicate order — identical to
-        the serial sweep. Hit/miss counts are logged per sweep.
-        """
-        results: Dict[CellSpec, List[RunMetrics]] = {}
-        pending: List[CellSpec] = []
-        hits_before = self.cache_hits
-        for spec in specs:
-            if spec in results or spec in pending:
-                continue
-            cached = self._load_cached(spec)
-            if cached is not None:
-                results[spec] = cached
-            else:
-                pending.append(spec)
-        if pending:
-            replicates = self.params.replicates
-            tasks = [
-                (spec, self.params, replicate)
-                for spec in pending
-                for replicate in range(replicates)
-            ]
-            labels = [
-                f"{spec.implementation} r{replicate}"
-                for spec in pending
-                for replicate in range(replicates)
-            ]
-            runs = self.executor.map(_replicate_task, tasks, labels=labels)
-            for i, spec in enumerate(pending):
-                cell = runs[i * replicates : (i + 1) * replicates]
-                self._store(spec, cell)
-                results[spec] = cell
-        logger.info(
-            "grid sweep: %d cells, %d cache hits, %d computed",
-            len(results),
-            self.cache_hits - hits_before,
-            len(pending),
-        )
-        return {spec: summarise(results[spec]) for spec in specs}
-
-    def invalidate(self) -> int:
-        """Delete this grid's cache files; returns how many were removed."""
-        if self.cache_dir is None:
-            return 0
-        removed = 0
-        for path in self.cache_dir.glob("cell-*.json"):
-            path.unlink()
-            removed += 1
-        return removed
+        self._runs.update(zip(missing, runs))
+        return [self._runs[key, r] for _, key in cells for r in replicates]
 
 
 def _replicate_task(task) -> RunMetrics:

@@ -135,6 +135,7 @@ def test_chaos_matrix_byte_identical_across_jobs():
 def test_grid_sweep_byte_identical_across_jobs():
     params = StandardParams(duration_s=0.3, replicates=2, seed=42)
     specs = [CellSpec.make("BP", n_consumers=2), CellSpec.make("Sem", n_consumers=2)]
-    serial = ExperimentGrid(params, cache_dir=None, jobs=1).run(specs)
-    pooled = ExperimentGrid(params, cache_dir=None, jobs=4).run(specs)
+    serial = ExperimentGrid(params, jobs=1).run(specs)
+    pooled = ExperimentGrid(params, jobs=4).run(specs)
     assert pooled == serial
+    assert repr(pooled) == repr(serial)

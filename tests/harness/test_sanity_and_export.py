@@ -1,4 +1,4 @@
-"""Tests for the sanity-check suite and CSV/JSON export."""
+"""Tests for the sanity-check suite and CSV export."""
 
 import pytest
 
@@ -9,9 +9,7 @@ from repro.harness import (
     run_sanity_checks,
     run_single_pair,
     runs_from_csv,
-    runs_from_json,
     runs_to_csv,
-    runs_to_json,
 )
 from repro.metrics import RunMetrics
 
@@ -98,22 +96,8 @@ def test_csv_roundtrip(tmp_path, some_runs):
     assert back == list(some_runs)
 
 
-def test_json_roundtrip(tmp_path, some_runs):
-    path = tmp_path / "runs.json"
-    runs_to_json(some_runs, path)
-    back = runs_from_json(path)
-    assert back == list(some_runs)
-
-
 def test_csv_missing_columns_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("implementation,power_w\nBP,0.1\n")
     with pytest.raises(ValueError, match="missing columns"):
         runs_from_csv(path)
-
-
-def test_json_non_list_rejected(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"not": "a list"}')
-    with pytest.raises(ValueError, match="JSON list"):
-        runs_from_json(path)

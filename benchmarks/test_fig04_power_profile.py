@@ -9,12 +9,14 @@ Paper shape asserted:
 * across the blocking five, wakeups/s correlates strongly and
   positively with power, and the paper's H0 ("wakeups have a
   significant effect on power") is accepted at 99 %.
+
+The table itself is saved once, as ``fig03_fig04_profile.txt``, by the
+Figure 3 test.
 """
 
 
-def test_fig04_power_ordering_and_stats(profile_study, save_result):
+def test_fig04_power_ordering_and_stats(profile_study):
     result = profile_study
-    save_result("fig04_stats", result.render())
     s = result.summaries
 
     power = {name: s[name].mean("power_w") for name in s}

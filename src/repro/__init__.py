@@ -11,7 +11,7 @@ Layered as the paper's system is:
   (PowerTop analogue, shunt-resistor scope analogue);
 * :mod:`repro.buffers` — ring/bounded/segmented buffers and the global
   elastic pool;
-* :mod:`repro.workloads` — web-log-like trace generation and CLF I/O;
+* :mod:`repro.workloads` — web-log-like trace generation;
 * :mod:`repro.impls` — the §III study set (BW, Yield, Mutex, Sem, BP,
   PBP, SPBP) and multi-pair assembly;
 * :mod:`repro.core` — **PBPL**, the paper's contribution (slot track,

@@ -142,7 +142,7 @@ def _violates(module: str, forbidden: Tuple[str, ...]) -> str:
 
 
 #: Where numpy is *sanctioned*: the vectorized batch layers. Workload
-#: synthesis (``workloads``) and power instrumentation/waveforms
+#: synthesis (``workloads``) and power instrumentation
 #: (``power``) compute over whole arrays by design, as do the harness,
 #: impls, metrics and reporting layers above the kernel. The DES core
 #: (``sim``) is the one place numpy is banned: dispatch must stay pure

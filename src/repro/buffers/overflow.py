@@ -97,30 +97,6 @@ class OverflowPolicyMixin:
         #: Items evicted because their deadline passed (``shed-to-deadline``).
         self.shed = 0
 
-    def set_policy(self, policy: str) -> None:
-        """Switch the overflow policy mid-run (adaptive controllers).
-
-        The fault-gated adaptive controller flips buffers between
-        ``"block"`` and ``"shed-to-deadline"`` at detector edges; the
-        next full-buffer push resolves under the new policy (``push``
-        reads ``self.policy`` at overflow time, so no queued state needs
-        fixing up). Switching *to* shed-to-deadline requires the
-        deadline clock to have been provided at construction.
-        """
-        if policy not in OVERFLOW_POLICIES:
-            raise ValueError(
-                f"unknown overflow policy {policy!r}; choose from "
-                f"{list(OVERFLOW_POLICIES)}"
-            )
-        if policy == "shed-to-deadline" and (
-            self.max_item_age_s is None or self._clock is None
-        ):
-            raise ValueError(
-                "cannot switch to shed-to-deadline: the buffer was built "
-                "without max_item_age_s and a clock"
-            )
-        self.policy = policy
-
     # -- unified push interface -------------------------------------------------
     @property
     def items_dropped(self) -> int:

@@ -19,10 +19,7 @@ Installed as the ``repro`` console script (also ``python -m repro``)::
     repro trace report t.jsonl --from 0.3 --to 0.6  # window the report
     repro trace bless               # regenerate the golden trace matrix
     repro trace --smoke             # CI gate: validate + reconcile a trace
-    repro trace generate -o t.npz   # synthesise & archive a workload
-    repro trace inspect t.npz       # summarise a workload's character
     repro metrics snapshot          # OpenMetrics snapshot + reconciliation
-    repro metrics watch --window 0.05  # per-window delta tables
     repro metrics diff a.prom b.prom   # exit 1 on drift — the CI gate
     repro metrics profile           # deterministic kernel self-profile
     repro metrics bless             # regenerate the golden metrics snapshot
@@ -43,8 +40,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro.harness import (
     PIPELINE_IMPLEMENTATIONS,
     PIPELINE_TOPOLOGIES,
@@ -59,16 +54,6 @@ from repro.harness import (
     run_single_pair,
     run_wakeup_accounting,
     runs_to_csv,
-)
-from repro.sim.rng import RandomStreams
-from repro.workloads import (
-    load_trace_cached,
-    mmpp_trace,
-    poisson_trace,
-    save_trace,
-    summarise_trace,
-    trace_from_clf,
-    worldcup_like_trace,
 )
 
 
@@ -372,90 +357,7 @@ def cmd_all(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tune(args: argparse.Namespace) -> int:
-    """Probe slot sizes against these parameters and report the knee."""
-    from repro.harness.tuning import suggest_slot_size
-
-    result = suggest_slot_size(
-        _params(args),
-        candidates_s=[c * 1e-3 for c in args.candidates_ms]
-        if args.candidates_ms
-        else None,
-        n_consumers=args.consumers,
-        probe_replicates=args.replicates,
-    )
-    text = result.render() + (
-        f"\n\nsuggested Δ = {result.best_slot_size_s * 1000:g} ms"
-    )
-    _emit(args, text)
-    return 0
-
-
-def cmd_waveform(args: argparse.Namespace) -> int:
-    """Render the machine's power waveform for one implementation —
-    the paper's Figure 1 intuition, live."""
-    from repro.core import PBPLSystem
-    from repro.harness.runner import CONSUMER_CORE, Rig
-    from repro.impls import MultiPairSystem, phase_shifted_traces
-    from repro.power import PowerTimeline
-
-    params = _params(args)
-    rig = Rig.build(params, 0)
-    timeline = rig.ledger.add_sink(
-        PowerTimeline([rig.machine.core(CONSUMER_CORE)])
-    )
-    traces = phase_shifted_traces(params.trace(rig.streams), args.consumers)
-    if args.impl == "PBPL":
-        PBPLSystem(
-            rig.env, rig.machine, traces, params.pbpl_config(),
-            consumer_cores=[CONSUMER_CORE],
-        ).start()
-    else:
-        MultiPairSystem(
-            rig.env, rig.machine, args.impl, traces, params.pc_config(),
-            consumer_cores=[CONSUMER_CORE],
-        ).start()
-    rig.env.run(until=params.duration_s)
-    t1 = min(args.window_s, params.duration_s)
-    text = (
-        f"{args.impl}, {args.consumers} consumers — consumer-core power "
-        f"waveform (first {t1:g}s)\n"
-        + timeline.render(0.0, t1, width=args.width)
-        + f"\n{len(timeline.impulses)} wakeup impulses in the whole run"
-    )
-    _emit(args, text)
-    return 0
-
-
 # -- trace commands ----------------------------------------------------------------
-
-
-def cmd_trace_generate(args: argparse.Namespace) -> int:
-    rng = RandomStreams(seed=args.seed).stream("cli-trace")
-    if args.kind == "worldcup":
-        trace = worldcup_like_trace(args.rate, args.duration, rng)
-    elif args.kind == "poisson":
-        trace = poisson_trace(args.rate, args.duration, rng)
-    elif args.kind == "mmpp":
-        trace = mmpp_trace(
-            [args.rate / 3, args.rate * 2], [0.5, 0.2], args.duration, rng
-        )
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(args.kind)
-    save_trace(trace, args.output)
-    print(summarise_trace(trace).render())
-    print(f"\nsaved to {args.output}")
-    return 0
-
-
-def cmd_trace_inspect(args: argparse.Namespace) -> int:
-    path = args.file
-    if path.suffix == ".npz":
-        trace = load_trace_cached(path)
-    else:
-        trace = trace_from_clf(path)
-    print(summarise_trace(trace).render())
-    return 0
 
 
 def _check_writable(path: Path) -> Optional[str]:
@@ -884,7 +786,7 @@ def metrics_golden_path(directory: Path = GOLDEN_DIR) -> Path:
     return directory / "pbpl_smoke.metrics.prom"
 
 
-def _metrics_record(args: argparse.Namespace, window_s=None, profiler=None):
+def _metrics_record(args: argparse.Namespace, profiler=None):
     """Run the requested impl × scenario with a live registry attached;
     returns ``(run, registry)``."""
     from repro.telemetry import MetricsRegistry
@@ -900,7 +802,6 @@ def _metrics_record(args: argparse.Namespace, window_s=None, profiler=None):
         n_consumers=args.consumers,
         seed=args.seed,
         metrics=registry,
-        window_s=window_s,
         profiler=profiler,
     )
     return run, registry
@@ -968,25 +869,6 @@ def cmd_metrics_snapshot(args: argparse.Namespace) -> int:
         for c in bad:
             print(f"metrics snapshot: FAIL {c.name}", file=sys.stderr)
         return 1
-    return 0
-
-
-def cmd_metrics_watch(args: argparse.Namespace) -> int:
-    """Windowed run: tumbling-window deltas rendered as per-window
-    terminal tables (the ``watch``-style view, replayed deterministically
-    from virtual time rather than sampled from a live process)."""
-    from repro.telemetry import render_frames
-
-    if args.window <= 0:
-        print("metrics watch: --window must be positive", file=sys.stderr)
-        return 2
-    run, _registry = _metrics_record(args, window_s=args.window)
-    title = (
-        f"metrics watch — {run.impl} × {run.scenario}, "
-        f"{args.window:g}s tumbling windows, {run.duration_s:g}s simulated"
-    )
-    text = title + "\n\n" + render_frames(run.frames)
-    _emit_simple(args, text)
     return 0
 
 
@@ -1112,8 +994,8 @@ def cmd_trace_default(args: argparse.Namespace) -> int:
     if args.smoke:
         return cmd_trace_smoke(args)
     print(
-        "repro trace: choose a subcommand (record/diff/report/bless/"
-        "generate/inspect) or pass --smoke",
+        "repro trace: choose a subcommand (record/diff/report/bless) "
+        "or pass --smoke",
         file=sys.stderr,
     )
     return 2
@@ -1126,7 +1008,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce 'Power-efficient Multiple Producer-Consumer' "
-        "(IPDPS 2014) — figures, sanity checks, workload tooling.",
+        "(IPDPS 2014) — figures, sanity checks, chaos, traces, metrics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1243,33 +1125,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_chaos)
 
-    p = sub.add_parser("tune", help="auto-tune the slot size Δ for a workload")
-    _add_common(p)
-    p.add_argument("--consumers", type=int, default=5)
-    p.add_argument(
-        "--candidates_ms",
-        type=lambda s: [float(x) for x in s.split(",") if x.strip()],
-        default=None,
-        help="comma-separated candidate slot sizes in ms (default: L-derived grid)",
-    )
-    p.set_defaults(func=cmd_tune)
-
     p = sub.add_parser("all", help="every figure, one markdown report")
     _add_common(p)
     p.set_defaults(func=cmd_all)
 
-    p = sub.add_parser("waveform", help="ASCII power waveform (Fig. 1, live)")
-    _add_common(p)
-    p.add_argument(
-        "--impl", default="PBPL", help="implementation (PBPL or a §III name)"
-    )
-    p.add_argument("--consumers", type=int, default=3)
-    p.add_argument("--window_s", type=float, default=0.25, help="window to draw")
-    p.add_argument("--width", type=int, default=72)
-    p.set_defaults(func=cmd_waveform)
-
     trace = sub.add_parser(
-        "trace", help="event traces (record/export) and workload tooling"
+        "trace", help="event traces: record, diff, report, bless"
     )
     trace.add_argument(
         "--smoke",
@@ -1412,24 +1273,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_trace_bless)
 
-    p = tsub.add_parser("generate", help="synthesise and archive a trace")
-    p.add_argument(
-        "--kind", choices=("worldcup", "poisson", "mmpp"), default="worldcup"
-    )
-    p.add_argument("--rate", type=float, default=2200.0)
-    p.add_argument("--duration", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", type=Path, required=True)
-    p.set_defaults(func=cmd_trace_generate)
-
-    p = tsub.add_parser("inspect", help="summarise a .npz or CLF trace")
-    p.add_argument("file", type=Path)
-    p.set_defaults(func=cmd_trace_inspect)
-
     metrics = sub.add_parser(
         "metrics",
         help="typed instruments over the DES: snapshots, OpenMetrics "
-        "export, windowed watch, drift diffs, kernel self-profile",
+        "export, drift diffs, kernel self-profile",
     )
     msub = metrics.add_subparsers(dest="metrics_command", required=True)
 
@@ -1471,24 +1318,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the byte-stable JSONL encoding instead of OpenMetrics",
     )
     p.set_defaults(func=cmd_metrics_snapshot)
-
-    p = msub.add_parser(
-        "watch",
-        help="tumbling-window deltas as per-window terminal tables "
-        "(deterministic replay of a live `watch` view)",
-    )
-    _add_metrics_run_args(p)
-    p.add_argument(
-        "--window",
-        type=float,
-        default=0.1,
-        metavar="S",
-        help="tumbling window width in simulated seconds (default 0.1)",
-    )
-    p.add_argument(
-        "--out", type=Path, default=None, help="also write the tables here"
-    )
-    p.set_defaults(func=cmd_metrics_watch)
 
     p = msub.add_parser(
         "diff",

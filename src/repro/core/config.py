@@ -45,11 +45,7 @@ class PBPLConfig(PCConfig):
     resize_margin: float = 0.5
     #: Overflow degradation policy for consumer buffers: "block" (the
     #: paper's back-pressure), "drop-oldest", "drop-newest",
-    #: "shed-to-deadline" (see :mod:`repro.buffers.overflow`), or
-    #: "adaptive" — buffers stay "block" (lossless) and switch to
-    #: shed-to-deadline only while the fault detector says a fault is
-    #: active, reverting with hysteresis (see
-    #: :mod:`repro.faults.adaptive`).
+    #: "shed-to-deadline" (see :mod:`repro.buffers.overflow`).
     overflow_policy: str = "block"
     #: Wrap the predictor in :class:`~repro.core.predictors.
     #: HardenedPredictor` (outlier clamping + fast re-convergence after
@@ -73,10 +69,10 @@ class PBPLConfig(PCConfig):
             raise ValueError("invalid cost parameters")
         if self.resize_margin < 0:
             raise ValueError("resize margin must be non-negative")
-        if self.overflow_policy not in OVERFLOW_POLICIES + ("adaptive",):
+        if self.overflow_policy not in OVERFLOW_POLICIES:
             raise ValueError(
                 f"unknown overflow policy {self.overflow_policy!r}; "
-                f"choose from {list(OVERFLOW_POLICIES) + ['adaptive']}"
+                f"choose from {list(OVERFLOW_POLICIES)}"
             )
         if self.predictor_clamp_factor <= 1:
             raise ValueError("predictor clamp factor must be > 1")

@@ -169,20 +169,12 @@ class LatchingConsumer:
             self.predictor = HardenedPredictor(
                 self.predictor, clamp_factor=config.predictor_clamp_factor
             )
-        # "adaptive" buffers start lossless ("block") and are flipped to
-        # shed-to-deadline by the fault-gated controller only while a
-        # fault is detected — so they register with the deadline clock
-        # armed but the blocking policy in force.
         self.buffer = pool.register(
             owner,
-            policy=(
-                "block"
-                if config.overflow_policy == "adaptive"
-                else config.overflow_policy
-            ),
+            policy=config.overflow_policy,
             max_item_age_s=(
                 config.max_response_latency_s
-                if config.overflow_policy in ("shed-to-deadline", "adaptive")
+                if config.overflow_policy == "shed-to-deadline"
                 else None
             ),
             clock=lambda: self.env.now,
@@ -192,9 +184,6 @@ class LatchingConsumer:
         #: Transient service-time multiplier (fault injectors raise it
         #: during a consumer-slowdown window).
         self.service_scale = 1.0
-        #: Plain callbacks fired on every full-buffer push encounter —
-        #: the fault detector's overflow-rate signal subscribes here.
-        self.on_overflow: "list" = []
         #: One-shot callbacks fired (then cleared) when a batch fully
         #: completes — the migration layer uses this to timestamp the
         #: consumer's first post-migration batch (its recovery point).
@@ -255,9 +244,6 @@ class LatchingConsumer:
         self.stats.overflows += 1
         if self.metrics:
             self._m_overflows.inc()
-        if self.on_overflow:
-            for hook in self.on_overflow:
-                hook()
         self._trigger_overflow()
         if self.buffer.policy == "block":
             if self.tracer:
@@ -347,7 +333,6 @@ class LatchingConsumer:
         item_cost_s = self._item_cost_s
         base_cost = type(self)._item_cost_s is LatchingConsumer._item_cost_s
         deadline_s = cfg.max_response_latency_s
-        keep_raw = cfg.track_latencies
         # Bootstrap: no history yet — reserve the very next slot.
         self.manager.reserve(self, self.manager.track.slot_of(env.now) + 1)
         while True:
@@ -418,9 +403,7 @@ class LatchingConsumer:
                     yield timeout(duration)
                 account_busy(owner, duration)
                 stats.consumed += 1
-                record_latency(
-                    env.now - t, deadline_s, keep_raw, now_s=env.now
-                )
+                record_latency(env.now - t, deadline_s, now_s=env.now)
                 self.in_flight -= 1
             if self.metrics:
                 # Batch-level accounting: one observe + one add per

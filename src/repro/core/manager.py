@@ -22,7 +22,7 @@ than one slot late, which is what keeps the resilience latency bound).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.cpu.core import Core
 from repro.cpu.timers import TimerService
@@ -107,10 +107,6 @@ class CoreManager:
         self.lost_signals = 0
         #: Slots fired by the watchdog instead of their timer.
         self.watchdog_recoveries = 0
-        #: Plain callbacks fired on every watchdog recovery — the fault
-        #: detector subscribes here (callback lists keep the kernel free
-        #: of upward imports; an empty list costs one truthiness test).
-        self.on_recovery: List[Callable[[], None]] = []
         #: False after :meth:`shutdown` — a fail-stopped manager accepts
         #: no reservations and its process is gone.
         self.alive = True
@@ -255,9 +251,6 @@ class CoreManager:
                             slot=next_slot, due_s=when,
                             late_s=env.now - when,
                         )
-                    if self.on_recovery:
-                        for hook in self.on_recovery:
-                            hook()
                 else:
                     self._consecutive_recoveries = 0
 

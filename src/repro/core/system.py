@@ -112,9 +112,6 @@ class PBPLSystem:
         ]
         #: One report per core failure survived (see :meth:`kill_core`).
         self.migrations: List[MigrationReport] = []
-        #: Fault-gated adaptive-overflow rig (armed by :meth:`start`
-        #: when ``config.overflow_policy == "adaptive"``).
-        self.adaptive = None
 
     #: Mirror of MultiPairSystem for harness interchangeability.
     @property
@@ -126,15 +123,6 @@ class PBPLSystem:
             manager.start()
         for consumer in self.consumers:
             consumer.start()
-        if self.config.overflow_policy == "adaptive":
-            # Local import: repro.faults.adaptive is kernel-importable
-            # (only faults.chaos is fenced off by the layer rules), but
-            # importing it lazily keeps module load acyclic.
-            from repro.faults.adaptive import arm_adaptive_overflow
-
-            self.adaptive = arm_adaptive_overflow(
-                self.env, self, tracer=self.tracer
-            )
         return self
 
     # -- core failure & migration ---------------------------------------------

@@ -20,7 +20,7 @@ from repro.cpu.governors import (
 from repro.cpu.listeners import CoreListener
 from repro.cpu.machine import Machine
 from repro.cpu.pstates import PState, PStateTable, arndale_pstates
-from repro.cpu.timers import PeriodicSignalTimer, TimerService
+from repro.cpu.timers import TimerService
 
 __all__ = [
     "ACTIVE",
@@ -39,7 +39,6 @@ __all__ = [
     "PState",
     "PStateTable",
     "PerformanceGovernor",
-    "PeriodicSignalTimer",
     "PowersaveGovernor",
     "TimerService",
     "arndale_cstates",

@@ -6,11 +6,12 @@ jitter of ``nanosleep`` makes the consumer late, the buffer overflows
 before the period expires, and every overflow is an extra wakeup. This
 module makes that mechanism explicit and tunable:
 
-* :meth:`TimerService.nanosleep` — duration plus a *late-only* jitter
-  (fixed overhead + half-normal noise), relative rearm (drift
-  accumulates across periods);
-* :meth:`TimerService.signal_alarm` / :class:`PeriodicSignalTimer` —
-  near-exact delivery, absolute rearm (no drift).
+* :meth:`TimerService.nanosleep_lateness` — a *late-only* jitter
+  (fixed overhead + half-normal noise + a heavy tail) that PBP adds to
+  each period;
+* :meth:`TimerService.signal_skew` — the near-exact delivery skew of a
+  signal timer, which SPBP adds instead; :meth:`TimerService.slot_alarm`
+  arms the PBPL core manager's one-shot slot signals.
 
 Physical Linux-on-ARM magnitudes are tens of µs of sleep slack vs ~1 µs
 signal delivery skew against the paper's 100 µs batching period — the
@@ -23,7 +24,7 @@ batching period* — is preserved.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -97,7 +98,6 @@ class TimerService:
         #: Lifetime count of signals the fault model swallowed.
         self.signals_lost = 0
 
-    # -- one-shot sleeps ------------------------------------------------------
     def _half_normal(self, scale: float) -> float:
         if scale <= 0:
             return 0.0
@@ -151,129 +151,3 @@ class TimerService:
         ):
             lateness += float(self.rng.exponential(self.nanosleep_tail_scale_s))
         return lateness
-
-    def nanosleep(self, duration_s: float):
-        """Sleep at least ``duration_s``; returns the actual lateness.
-
-        Generator — use as ``late = yield from timers.nanosleep(d)``.
-        ``nanosleep`` never returns early (POSIX guarantees *at least*
-        the requested time), so jitter is strictly additive.
-        """
-        if duration_s < 0:
-            raise SimulationError(f"negative sleep {duration_s!r}")
-        lateness = self.nanosleep_lateness()
-        yield self.env.timeout(duration_s + lateness)
-        return lateness
-
-    def nanosleep_event(self, duration_s: float):
-        """Event form of :meth:`nanosleep` (for ``AnyOf`` composition).
-
-        Returns a Timeout carrying the actual (jittered) sleep length as
-        its value.
-        """
-        if duration_s < 0:
-            raise SimulationError(f"negative sleep {duration_s!r}")
-        lateness = self.nanosleep_lateness()
-        return self.env.timeout(duration_s + lateness, value=duration_s + lateness)
-
-    def signal_alarm(self, delay_s: float):
-        """One-shot timer signal after ``delay_s``; returns the skew.
-
-        Generator — use as ``skew = yield from timers.signal_alarm(d)``.
-        """
-        if delay_s < 0:
-            raise SimulationError(f"negative alarm delay {delay_s!r}")
-        skew = self._half_normal(self.signal_jitter_s)
-        yield self.env.timeout(self.drifted(delay_s) + skew)
-        return skew
-
-
-class PeriodicSignalTimer:
-    """A drift-free periodic timer (``setitimer``-style absolute rearm).
-
-    Each call to :meth:`next_tick` sleeps until the next multiple of
-    ``period_s`` after ``base_s``, regardless of how late the caller
-    shows up — missed ticks are skipped, never queued. Per-delivery skew
-    uses the service's signal-accuracy model.
-    """
-
-    def __init__(
-        self, timers: TimerService, period_s: float, base_s: Optional[float] = None
-    ) -> None:
-        if period_s <= 0:
-            raise SimulationError(f"period must be positive, got {period_s!r}")
-        self.timers = timers
-        self.period_s = period_s
-        self.base_s = timers.env.now if base_s is None else base_s
-        self._k = 0  # index of the last delivered (or skipped-past) tick
-        self._delivered = 0
-
-    @property
-    def ticks_delivered(self) -> int:
-        """How many ticks :meth:`next_tick` has delivered."""
-        return self._delivered
-
-    def _next(self) -> tuple[int, float]:
-        """Index and absolute time of the next tick strictly after now.
-
-        The index advances from the last delivered tick (not from a
-        float division of the clock, which would re-deliver a tick when
-        ``now`` lands exactly on a boundary).
-        """
-        now = self.timers.env.now
-        k = self._k + 1
-        deadline = self.base_s + k * self.period_s
-        while deadline <= now:  # caller overslept: skip missed ticks
-            k += 1
-            deadline = self.base_s + k * self.period_s
-        return k, deadline
-
-    def next_deadline(self) -> float:
-        """The absolute time of the next tick strictly after now."""
-        return self._next()[1]
-
-    def next_tick(self):
-        """Sleep until the next period boundary; returns its nominal time.
-
-        Generator — use as ``deadline = yield from timer.next_tick()``.
-        """
-        k, deadline = self._next()
-        if self.timers.signal_lost():
-            # A swallowed tick: the next delivery is the following
-            # boundary (periodic timers self-heal — one period late).
-            k += 1
-            deadline += self.period_s
-        skew = self.timers._half_normal(self.timers.signal_jitter_s)
-        delay = self.timers.drifted(deadline - self.timers.env.now) + skew
-        yield self.timers.env.timeout(delay)
-        self._k = k
-        self._delivered += 1
-        return deadline
-
-    def tick_event(self):
-        """Event form of :meth:`next_tick` (for ``AnyOf`` composition).
-
-        Returns a Timeout whose value is the tick's nominal deadline.
-        The caller must call :meth:`confirm` if (and only if) it
-        actually consumed the tick; an unconfirmed tick is re-armed by
-        the next call, with missed boundaries skipped as usual.
-        """
-        k, deadline = self._next()
-        if self.timers.signal_lost():
-            k += 1
-            deadline += self.period_s
-        skew = self.timers._half_normal(self.timers.signal_jitter_s)
-        self._pending_k = k
-        return self.timers.env.timeout(
-            self.timers.drifted(deadline - self.timers.env.now) + skew,
-            value=deadline,
-        )
-
-    def confirm(self) -> None:
-        """Acknowledge consumption of the tick armed by :meth:`tick_event`."""
-        pending = getattr(self, "_pending_k", None)
-        if pending is None:
-            raise SimulationError("confirm() without a pending tick_event()")
-        self._k = pending
-        self._pending_k = None
-        self._delivered += 1

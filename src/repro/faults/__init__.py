@@ -1,17 +1,10 @@
 """Fault injection and resilience scoring for the reproduction.
 
 Declarative fault specs (:mod:`repro.faults.spec`), their application
-to traces and live systems (:mod:`repro.faults.injectors`), the
-fault-gated adaptive overflow rig (:mod:`repro.faults.adaptive`), and
-the deterministic chaos-scenario harness (:mod:`repro.faults.chaos`).
+to traces and live systems (:mod:`repro.faults.injectors`), and the
+deterministic chaos-scenario harness (:mod:`repro.faults.chaos`).
 """
 
-from repro.faults.adaptive import (
-    AdaptiveOverflow,
-    AdaptiveOverflowController,
-    FaultDetector,
-    arm_adaptive_overflow,
-)
 from repro.faults.chaos import (
     DEFAULT_SCENARIOS,
     SMOKE_SCENARIOS,
@@ -30,20 +23,15 @@ from repro.faults.spec import (
     Fault,
     FaultPlan,
     LostSignals,
-    OverflowTrigger,
     PoolContention,
     ProducerStall,
-    RecoveryTrigger,
     RuntimeFault,
     TraceFault,
-    Trigger,
     TriggeredFault,
     WindowTrigger,
 )
 
 __all__ = [
-    "AdaptiveOverflow",
-    "AdaptiveOverflowController",
     "BurstStorm",
     "ChaosReport",
     "ChaosScenario",
@@ -52,22 +40,17 @@ __all__ = [
     "CoreFailure",
     "DEFAULT_SCENARIOS",
     "Fault",
-    "FaultDetector",
     "FaultPlan",
     "LostSignals",
-    "OverflowTrigger",
     "PoolContention",
     "PowerProbe",
     "ProducerStall",
-    "RecoveryTrigger",
     "RuntimeFault",
     "RuntimeInjector",
     "SMOKE_SCENARIOS",
     "TraceFault",
-    "Trigger",
     "TriggeredFault",
     "WindowTrigger",
-    "arm_adaptive_overflow",
     "perturb_traces",
     "run_chaos",
     "run_scenario",

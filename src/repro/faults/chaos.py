@@ -377,7 +377,6 @@ def run_scenario(
                 row.migration_recovery_s = m.recovered_s - rep.at_s
         per_consumer.append(row)
     recoveries = [rep.recovery_s for rep in migrations]
-    adaptive = getattr(system, "adaptive", None)
     return ResilienceMetrics(
         scenario=scenario.name,
         impl=impl,
@@ -418,10 +417,6 @@ def run_scenario(
             else None
         ),
         migration_unrecovered=sum(rep.unrecovered for rep in migrations),
-        adaptive_shed_windows=adaptive.shed_windows if adaptive else 0,
-        adaptive_shed_s=(
-            adaptive.total_shed_s(params.duration_s) if adaptive else 0.0
-        ),
         per_consumer=per_consumer,
         notes=plan.describe(),
     )
@@ -544,21 +539,6 @@ class ChaosReport:
                         f"| {r.scenario} | {c.owner} "
                         f"| {c.migration_energy_j * 1e6:.1f} | {recovery} |"
                     )
-        if any(r.adaptive_shed_windows for r in self.results):
-            lines += [
-                "",
-                "## Adaptive overflow (fault-gated shedding)",
-                "",
-                "| scenario | shed windows | shed time (ms) |",
-                "|---|---|---|",
-            ]
-            for r in self.results:
-                if not r.adaptive_shed_windows:
-                    continue
-                lines.append(
-                    f"| {r.scenario} | {r.adaptive_shed_windows} "
-                    f"| {r.adaptive_shed_s * 1000:.2f} |"
-                )
         if any(r.topology for r in self.results):
             lines += [
                 "",

@@ -28,11 +28,6 @@ Timing rules that keep the simultaneity sanitizer quiet:
   *derived from priority* (kill first), never from heap insertion luck.
   All migration side effects then run inside the kill dispatch and are
   classified as derived events.
-* Dynamically triggered faults (:class:`~repro.faults.spec.
-  RecoveryTrigger` / :class:`~repro.faults.spec.OverflowTrigger`) wait
-  on :class:`~repro.faults.adaptive.FaultDetector` waiter events, which
-  succeed inside the dispatch of the signal that satisfied them — also
-  derived.
 """
 
 from __future__ import annotations
@@ -48,10 +43,8 @@ from repro.faults.spec import (
     CoreFailure,
     FaultPlan,
     LostSignals,
-    OverflowTrigger,
     PoolContention,
     ProducerStall,
-    RecoveryTrigger,
     TRACE_FAULT_TYPES,
     TriggeredFault,
 )
@@ -61,7 +54,6 @@ from repro.workloads.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import PBPLSystem
-    from repro.faults.adaptive import FaultDetector
     from repro.sim.environment import Environment
     from repro.trace.tracer import Tracer
 
@@ -121,8 +113,6 @@ class RuntimeInjector:
         self.events: List[tuple[float, str]] = []
         #: Runtime faults that could not act on this system type.
         self.skipped: List[str] = []
-        self._detector: Optional["FaultDetector"] = None
-        self._detector_resolved = False
 
     def start(self) -> "RuntimeInjector":
         windows = self.plan.resolved_windows()
@@ -135,41 +125,6 @@ class RuntimeInjector:
             )
             n += 1
         return self
-
-    # -- dynamic-trigger support ---------------------------------------------------
-    def _get_detector(self) -> Optional["FaultDetector"]:
-        """The detector driving recovery/overflow triggers.
-
-        Resolved lazily (at first fault-process step, i.e. after
-        ``system.start()``): reuse the adaptive-overflow detector when
-        one is armed so trigger counts and policy gating agree on what
-        they saw; otherwise attach a standalone one. ``None`` on
-        systems without the PBPL hook surface (baselines).
-        """
-        if not self._detector_resolved:
-            self._detector_resolved = True
-            adaptive = getattr(self.system, "adaptive", None)
-            if adaptive is not None:
-                self._detector = adaptive.detector
-            elif getattr(self.system, "managers", None):
-                from repro.faults.adaptive import FaultDetector
-
-                self._detector = FaultDetector(
-                    self.env, tracer=self.tracer
-                ).attach(self.system)
-        return self._detector
-
-    def _arm_trigger(self, trigger) -> Optional[Event]:
-        detector = self._get_detector()
-        if detector is None:
-            return None
-        if isinstance(trigger, RecoveryTrigger):
-            return detector.when_recoveries(trigger.count)
-        if isinstance(trigger, OverflowTrigger):
-            return detector.when_overflow_rate(
-                trigger.rate_per_s, trigger.window_s
-            )
-        raise TypeError(f"not a dynamic trigger: {trigger!r}")
 
     def _fault_timeout(self, spec, delay: float) -> Event:
         """Wait for a fault's start edge.
@@ -187,19 +142,11 @@ class RuntimeInjector:
         return self.env.timeout(delay)
 
     # -- one process per fault ---------------------------------------------------
-    def _drive(self, fault, window: Optional[Tuple[float, float]]):
+    def _drive(self, fault, window: Tuple[float, float]):
         env = self.env
         spec = fault.fault if isinstance(fault, TriggeredFault) else fault
-        if window is not None:
-            if env.now < window[0]:
-                yield self._fault_timeout(spec, window[0] - env.now)
-        else:
-            armed = self._arm_trigger(fault.trigger)
-            if armed is None:
-                self.skipped.append(fault.describe())
-                self.events.append((env.now, f"skip: {fault.describe()}"))
-                return
-            yield armed
+        if env.now < window[0]:
+            yield self._fault_timeout(spec, window[0] - env.now)
         undo = self._apply(spec)
         if undo is None:
             self.skipped.append(fault.describe())

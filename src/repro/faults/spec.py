@@ -151,10 +151,10 @@ class WindowTrigger:
     """Fire when an earlier fault's window edge passes (+ ``delay_s``).
 
     ``source`` indexes the plan's fault list and must reference an
-    *earlier*, statically resolvable fault (a plain fault or another
-    window-triggered one) — so the cascade's timing stays a pure
-    function of the plan, which keeps the scenario deterministic and
-    lets :meth:`FaultPlan.windows` include it.
+    *earlier* fault (a plain fault or another window-triggered one) —
+    so the cascade's timing stays a pure function of the plan, which
+    keeps the scenario deterministic and lets :meth:`FaultPlan.windows`
+    include it.
     """
 
     source: int
@@ -175,55 +175,16 @@ class WindowTrigger:
 
 
 @dataclass(frozen=True)
-class RecoveryTrigger:
-    """Fire when cumulative watchdog recoveries reach ``count``."""
-
-    count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError(f"recovery count must be >= 1: {self.count}")
-
-    def describe(self) -> str:
-        return f"after {self.count} watchdog recover{'y' if self.count == 1 else 'ies'}"
-
-
-@dataclass(frozen=True)
-class OverflowTrigger:
-    """Fire when the overflow rate over ``window_s`` reaches ``rate_per_s``."""
-
-    rate_per_s: float
-    window_s: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.rate_per_s <= 0:
-            raise ValueError(f"overflow rate must be positive: {self.rate_per_s}")
-        if self.window_s <= 0:
-            raise ValueError(f"overflow window must be positive: {self.window_s}")
-
-    def describe(self) -> str:
-        return f"when overflows exceed {self.rate_per_s:g}/s over {self.window_s:g}s"
-
-
-Trigger = Union[WindowTrigger, RecoveryTrigger, OverflowTrigger]
-
-#: Trigger kinds whose fire time is a pure function of the plan.
-STATIC_TRIGGERS = (WindowTrigger,)
-
-
-@dataclass(frozen=True)
 class TriggeredFault:
     """A runtime fault whose start comes from a *trigger*, not a clock.
 
     Wraps any runtime fault spec; the wrapped fault declares its start
     via the trigger (its own ``start_s`` must be 0) and keeps its
-    ``duration_s``. Window triggers resolve statically; recovery and
-    overflow-rate triggers are driven by the live
-    :class:`~repro.faults.adaptive.FaultDetector`.
+    ``duration_s``. The trigger resolves statically from the plan.
     """
 
     fault: "RuntimeFault"
-    trigger: Trigger
+    trigger: WindowTrigger
 
     def __post_init__(self) -> None:
         if not isinstance(self.fault, RUNTIME_FAULT_TYPES):
@@ -293,33 +254,22 @@ class FaultPlan:
             if isinstance(f, RUNTIME_FAULT_TYPES + (TriggeredFault,))
         ]
 
-    def resolved_windows(self) -> List[Optional[Tuple[float, float]]]:
+    def resolved_windows(self) -> List[Tuple[float, float]]:
         """Per-fault (start, end) windows, aligned with ``faults``.
 
         Plain faults resolve from their ``start_s``; window-triggered
-        faults resolve from their (earlier, already-resolved) source;
-        dynamically triggered faults (recovery/overflow) yield ``None``
-        — their window exists only at run time.
+        faults resolve from their (earlier, already-resolved) source.
         """
-        out: List[Optional[Tuple[float, float]]] = []
+        out: List[Tuple[float, float]] = []
         for i, fault in enumerate(self.faults):
             if isinstance(fault, TriggeredFault):
                 trigger = fault.trigger
-                if not isinstance(trigger, STATIC_TRIGGERS):
-                    out.append(None)
-                    continue
                 if not 0 <= trigger.source < i:
                     raise ValueError(
                         f"window trigger of fault #{i} must reference an "
                         f"earlier fault: source={trigger.source}"
                     )
                 source = out[trigger.source]
-                if source is None:
-                    raise ValueError(
-                        f"window trigger of fault #{i} references fault "
-                        f"#{trigger.source}, which is dynamically triggered; "
-                        f"window triggers need a statically resolvable source"
-                    )
                 start = (
                     source[0] if trigger.edge == "start" else source[1]
                 ) + trigger.delay_s
@@ -329,10 +279,8 @@ class FaultPlan:
         return out
 
     def windows(self) -> List[Tuple[float, float]]:
-        """Every statically resolvable (start, end) window, sorted.
-        Dynamically triggered faults are excluded — their windows exist
-        only at run time."""
-        return sorted(w for w in self.resolved_windows() if w is not None)
+        """Every fault's (start, end) window, sorted."""
+        return sorted(self.resolved_windows())
 
     @property
     def last_fault_end_s(self) -> float:

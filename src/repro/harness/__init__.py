@@ -44,7 +44,6 @@ from repro.harness.runner import (
     run_single_pair,
 )
 from repro.harness.tables import render_comparison, render_series, render_table
-from repro.harness.tuning import ProbePoint, TuningResult, suggest_slot_size
 
 __all__ = [
     "BackgroundKernelLoad",
@@ -64,8 +63,6 @@ __all__ = [
     "STUDY_IMPLEMENTATIONS",
     "SanityCheck",
     "SanityReport",
-    "TuningResult",
-    "ProbePoint",
     "StandardParams",
     "WakeupAccountingResult",
     "WorkerCrashError",
@@ -89,5 +86,4 @@ __all__ = [
     "run_profile_study",
     "run_single_pair",
     "run_wakeup_accounting",
-    "suggest_slot_size",
 ]

@@ -239,7 +239,7 @@ def run_multi_comparison(
 ) -> MultiComparisonResult:
     """Reproduce Figure 9 (or one cell of Figures 10/11)."""
     grid = _grid(params, jobs)
-    buf = buffer_size or grid.params.buffer_size
+    buf = grid.params.buffer_size if buffer_size is None else buffer_size
     runs = grid.run([CellSpec(name, n_consumers, buf) for name in implementations])
     summaries = {key[0]: summarise(cell) for key, cell in _cells(runs).items()}
     return MultiComparisonResult(

@@ -63,7 +63,11 @@ class ExperimentGrid:
         """What the simulation actually depends on: the buffer resolved
         against the params, and for PBPL the full resolved config, so an
         override equal to its default lands on the default cell."""
-        buf = spec.buffer_size or self.params.buffer_size
+        buf = (
+            self.params.buffer_size
+            if spec.buffer_size is None
+            else spec.buffer_size
+        )
         if spec.implementation != "PBPL":
             return (spec.implementation, spec.n_consumers, buf)
         config = self.params.pbpl_config(buf, **spec.overrides_dict())

@@ -97,7 +97,7 @@ class StandardParams:
     def pc_config(self, buffer_size: Optional[int] = None) -> PCConfig:
         """Baseline-implementation config for these parameters."""
         return PCConfig(
-            buffer_size=buffer_size or self.buffer_size,
+            buffer_size=self.buffer_size if buffer_size is None else buffer_size,
             batch_period_s=self.slot_size_s,
             max_response_latency_s=self.max_response_latency_s,
         )
@@ -105,7 +105,7 @@ class StandardParams:
     def pbpl_config(self, buffer_size: Optional[int] = None, **overrides) -> PBPLConfig:
         """PBPL config for these parameters (overrides for ablations)."""
         kwargs = dict(
-            buffer_size=buffer_size or self.buffer_size,
+            buffer_size=self.buffer_size if buffer_size is None else buffer_size,
             batch_period_s=self.slot_size_s,
             slot_size_s=self.slot_size_s,
             max_response_latency_s=self.max_response_latency_s,

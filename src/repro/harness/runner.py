@@ -258,7 +258,7 @@ def run_multi(
     """One §VI evaluation run: ``n_consumers`` phase-shifted pairs."""
     if name != "PBPL" and name not in SINGLE_IMPLEMENTATIONS:
         raise ValueError(f"unknown implementation {name!r}")
-    buf = buffer_size or params.buffer_size
+    buf = params.buffer_size if buffer_size is None else buffer_size
     rig = Rig.build(params, replicate)
     traces = phase_shifted_traces(base_trace(params, replicate), n_consumers)
     if name == "PBPL":

@@ -16,12 +16,12 @@ corresponding POSIX implementation would.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Generator, List
+from typing import TYPE_CHECKING, Callable, Generator
 
 import numpy as np
 
-from repro.metrics.quantiles import StreamingLatency
 from repro.workloads.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,8 +59,6 @@ class PCConfig:
     spin_reeval_s: float = 0.01
     #: sched_yield frequency of the Yield implementation's spin loop.
     yield_rate_hz: float = 50_000.0
-    #: Keep raw per-item latencies (False saves memory on huge runs).
-    track_latencies: bool = True
 
     def __post_init__(self) -> None:
         if self.buffer_size < 1:
@@ -91,15 +89,9 @@ class PairStats:
     scheduled_wakeups: int = 0
     #: Batch-impl wakeups forced by a full buffer before the schedule.
     overflow_wakeups: int = 0
-    #: Raw per-item response latencies (if tracked).
-    latencies: List[float] = field(default_factory=list)
-    #: Constant-memory P² percentile estimates, fed only when raw
-    #: latencies are not kept — so huge runs with
-    #: ``track_latencies=False`` still report tails. Tracked pairs read
-    #: their percentiles from ``latencies`` and leave this stream empty.
-    latency_stream: StreamingLatency = field(
-        default_factory=lambda: StreamingLatency(quantiles=(0.5, 0.95, 0.99))
-    )
+    #: Raw per-item response latencies, as C doubles: 8 bytes an item
+    #: instead of a float object and a list slot.
+    latencies: array = field(default_factory=lambda: array("d"))
     _lat_sum: float = 0.0
     _lat_max: float = 0.0
     _lat_n: int = 0
@@ -113,7 +105,6 @@ class PairStats:
         self,
         latency_s: float,
         deadline_s: float,
-        keep_raw: bool,
         now_s: float = None,
     ) -> None:
         self._lat_sum += latency_s
@@ -124,10 +115,7 @@ class PairStats:
             self.deadline_misses += 1
             if now_s is not None and now_s > self.last_miss_s:
                 self.last_miss_s = now_s
-        if keep_raw:
-            self.latencies.append(latency_s)
-        else:
-            self.latency_stream.observe(latency_s)
+        self.latencies.append(latency_s)
 
     @property
     def mean_latency_s(self) -> float:
@@ -138,27 +126,10 @@ class PairStats:
         return self._lat_max
 
     def latency_percentile(self, q: float) -> float:
-        """Percentile of latencies: exact when raw values were kept,
-        the P² streaming estimate otherwise (q ∈ {50, 95, 99})."""
-        if self.latencies:
-            return float(np.percentile(self.latencies, q))
-        if self._lat_n == 0:
+        """Exact percentile ``q`` (0–100) of the raw latencies; 0 with none."""
+        if not self.latencies:
             return 0.0
-        if self.latency_stream.count == 0:
-            # Aggregated stats carry summed counters but no stream (P²
-            # estimators cannot be merged): percentiles then require raw
-            # tracking in the underlying runs.
-            raise ValueError(
-                "percentile unavailable: aggregated stats without raw "
-                "latencies (set track_latencies=True)"
-            )
-        try:
-            return self.latency_stream.quantile(q / 100.0)
-        except KeyError:
-            raise ValueError(
-                f"p{q:g} needs raw tracking; streamed quantiles are "
-                f"{[int(x * 100) for x in self.latency_stream.quantiles]}"
-            ) from None
+        return float(np.percentile(self.latencies, q))
 
 
 #: A delivery routine: a generator that places one item (its production

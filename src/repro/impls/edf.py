@@ -150,7 +150,6 @@ class EDFCoordinator:
                     pair.stats.record_latency(
                         env.now - t,
                         pair.config.max_response_latency_s,
-                        pair.config.track_latencies,
                     )
                     pair.in_flight -= 1
             hold.release()

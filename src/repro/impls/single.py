@@ -114,7 +114,6 @@ class PCImplementation:
         self.stats.record_latency(
             now - produced_t,
             self.config.max_response_latency_s,
-            self.config.track_latencies,
             now_s=now,
         )
 
@@ -419,7 +418,7 @@ class SignalPeriodicBatch(_PeriodicBatchBase):
     name = "SPBP"
 
     def _lateness(self) -> float:
-        return self.timers._half_normal(self.timers.signal_jitter_s)
+        return self.timers.signal_skew()
 
 
 #: Registry keyed by the paper's labels.

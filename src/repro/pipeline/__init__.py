@@ -10,7 +10,7 @@ Public surface:
 * :class:`~repro.pipeline.stage.StageConsumer` — a latching consumer
   that is simultaneously the next stage's producer;
 * :class:`~repro.pipeline.system.PipelineSystem` — PBPL over a
-  topology (chaos/migration/adaptive machinery applies unchanged);
+  topology (chaos and migration machinery applies unchanged);
 * :class:`~repro.pipeline.baseline.BaselinePipelineSystem` — the same
   topology under Mutex/Sem/BP/PBP/SPBP for comparison.
 """

@@ -20,13 +20,11 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.cpu.machine import Machine
 from repro.impls.base import PCConfig, Producer
 from repro.impls.multi import MultiPairSystem
 from repro.impls.single import PCImplementation, SINGLE_IMPLEMENTATIONS
-from repro.pipeline.system import E2E_QUANTILES
+from repro.pipeline.system import E2E_QUANTILES, pooled_quantiles
 from repro.pipeline.topology import Topology
 from repro.workloads.trace import Trace
 
@@ -180,22 +178,7 @@ class BaselinePipelineSystem(MultiPairSystem):
         """End-to-end quantiles over all sink-stage items (items carry
         origin timestamps, so sink latencies are end-to-end)."""
         sinks = [p for p in self.pairs if p.stage.role == "sink"]
-        raw: List[float] = []
-        for p in sinks:
-            raw.extend(p.stats.latencies)
-        if raw:
-            arr = np.sort(np.asarray(raw))
-            return {
-                q: float(np.quantile(arr, q, method="linear"))
-                for q in quantiles
-            }
-        out: Dict[float, float] = {}
-        for q in quantiles:
-            estimates = [
-                p.stats.latency_percentile(q) for p in sinks if p.stats.consumed
-            ]
-            out[q] = max(estimates, default=0.0)
-        return out
+        return pooled_quantiles([p.stats for p in sinks], quantiles)
 
     def __repr__(self) -> str:
         return (

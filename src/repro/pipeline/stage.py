@@ -167,9 +167,6 @@ class StageConsumer(LatchingConsumer):
         """
         if self.buffer.is_full:
             self.stats.overflows += 1
-            if self.on_overflow:
-                for hook in self.on_overflow:
-                    hook()
             self._trigger_overflow()
             while self.buffer.is_full:
                 if self._space_event is None or self._space_event.triggered:

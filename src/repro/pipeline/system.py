@@ -18,8 +18,8 @@
 The chaos-compat surface (``pairs``/``consumers``/``managers``/``pool``/
 ``kill_core``/``aggregate_stats``/…) is inherited from
 :class:`~repro.core.system.PBPLSystem` unchanged, so the fault
-injectors, consumer migration and the adaptive-overflow controller
-apply to pipeline stages exactly as they do to independent pairs.
+injectors and consumer migration apply to pipeline stages exactly as
+they do to independent pairs.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.core.config import PBPLConfig
 from repro.core.manager import CoreManager
 from repro.core.system import PBPLSystem
 from repro.cpu.machine import Machine
-from repro.impls.base import Producer
+from repro.impls.base import PairStats, Producer
 from repro.pipeline.stage import StageConsumer
 from repro.pipeline.topology import Topology
 from repro.workloads.trace import Trace
@@ -46,6 +46,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: End-to-end latency quantiles the pipeline reports.
 E2E_QUANTILES = (0.5, 0.95, 0.99)
+
+
+def pooled_quantiles(
+    stats: Sequence[PairStats], quantiles: Sequence[float]
+) -> Dict[float, float]:
+    """Exact quantiles of every raw latency in ``stats``; 0 with none."""
+    raw: List[float] = []
+    for s in stats:
+        raw.extend(s.latencies)
+    if not raw:
+        return {q: 0.0 for q in quantiles}
+    arr = np.sort(np.asarray(raw))
+    return {q: float(np.quantile(arr, q, method="linear")) for q in quantiles}
 
 
 @dataclass
@@ -185,7 +198,6 @@ class PipelineSystem(PBPLSystem):
             for source, trace in zip(sources, traces)
         ]
         self.migrations = []
-        self.adaptive = None
 
     def start(self) -> "PipelineSystem":
         super().start()
@@ -242,30 +254,11 @@ class PipelineSystem(PBPLSystem):
         """End-to-end latency quantiles over all sink-stage items.
 
         Sink stages record latency from the item's *origin* timestamp
-        (stages forward originals), so their latency streams are the
-        pipeline's end-to-end distribution. Raw samples are pooled
-        exactly when tracked; otherwise the worst sink's streaming (P²)
-        estimate stands in.
+        (stages forward originals), so their pooled raw samples are the
+        pipeline's end-to-end distribution (all 0 before any item).
         """
         sinks = [c for c in self.consumers if c.stage.role == "sink"]
-        raw: List[float] = []
-        for c in sinks:
-            raw.extend(c.stats.latencies)
-        if raw:
-            arr = np.sort(np.asarray(raw))
-            return {
-                q: float(np.quantile(arr, q, method="linear"))
-                for q in quantiles
-            }
-        out: Dict[float, float] = {}
-        for q in quantiles:
-            estimates = [
-                c.stats.latency_percentile(q)
-                for c in sinks
-                if c.stats.consumed
-            ]
-            out[q] = max(estimates, default=0.0)
-        return out
+        return pooled_quantiles([c.stats for c in sinks], quantiles)
 
     def __repr__(self) -> str:
         return (

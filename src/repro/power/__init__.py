@@ -6,7 +6,7 @@ Three layers:
   (Section II physics: ``Pd = C·V²·f``, idle residuals, wakeup cost ω);
 * :class:`~repro.power.ledger.EnergyLedger` — exact integration of that
   model over the simulated core timelines, the one integrator; every
-  other energy account (attribution, waveform, trace, registry) is a
+  other energy account (attribution, trace, registry) is a
   :class:`~repro.power.ledger.LedgerSink` view of its segments;
 * :mod:`~repro.power.instruments` — the paper's two measurement paths
   (PowerTop analogue; shunt-resistor + oscilloscope analogue) with
@@ -27,7 +27,6 @@ from repro.power.instruments import (
     ScopeMeasurement,
 )
 from repro.power.ledger import EnergyBreakdown, EnergyLedger, LedgerSink
-from repro.power.timeline import PowerTimeline, WaveformPoint
 from repro.power.model import PowerModel
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "PowerModel",
     "PowerTop",
     "PowerTopReport",
-    "PowerTimeline",
     "PowerTopRow",
     "ScopeMeasurement",
-    "WaveformPoint",
 ]

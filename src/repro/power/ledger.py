@@ -13,8 +13,8 @@ and prices it. Every other account of the same joules is a *view*: a
 :class:`LedgerSink` registered with :meth:`EnergyLedger.add_sink` that
 folds the segments the ledger closes — trace spans and power counters
 (:mod:`repro.trace.power`), registry energy counters
-(:mod:`repro.telemetry.collectors`), the idle share of per-owner
-attribution and the power waveform. Sinks are duck-typed, so the power
+(:mod:`repro.telemetry.collectors`) and the idle share of per-owner
+attribution. Sinks are duck-typed, so the power
 layer never imports the trace or telemetry layers that host them.
 """
 

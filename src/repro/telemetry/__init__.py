@@ -27,10 +27,7 @@ from repro.telemetry.export import (
     MetricsDiff,
     MetricsParseError,
     diff_openmetrics,
-    frames_to_jsonl,
     parse_openmetrics,
-    render_frames,
-    render_table,
     snapshot_to_jsonl,
     to_openmetrics,
 )
@@ -89,14 +86,11 @@ __all__ = [
     "TumblingWindows",
     "WindowFrame",
     "diff_openmetrics",
-    "frames_to_jsonl",
     "parse_openmetrics",
     "reconcile_core_wakeups",
     "reconcile_counters",
     "reconcile_energy",
     "render_checks",
-    "render_frames",
-    "render_table",
     "snapshot_to_jsonl",
     "to_openmetrics",
 ]

@@ -7,8 +7,8 @@ in the snapshot, floats use ``repr`` round-trip formatting):
   family, cumulative ``_bucket{le=...}`` histogram samples, a final
   ``# EOF`` terminator. This is what CI uploads per scenario and what
   ``repro metrics diff`` compares against the committed golden.
-* JSONL — one JSON object per sample (or per window frame), keys
-  sorted, no whitespace variance.
+* JSONL — one JSON object per sample, keys sorted, no whitespace
+  variance.
 
 ``diff_openmetrics`` mirrors ``repro trace diff``: structural drift
 (series appearing/disappearing) or a value delta beyond thresholds
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.telemetry.instruments import Histogram
 from repro.telemetry.registry import MetricsSnapshot
@@ -96,25 +96,6 @@ def snapshot_to_jsonl(snapshot: MetricsSnapshot) -> str:
         json.dumps(_sample_dict(*sample), sort_keys=True, separators=(",", ":"))
         for sample in snapshot.samples()
     ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def frames_to_jsonl(frames) -> str:
-    """One JSON object per tumbling-window frame, byte-stable."""
-    lines = []
-    for frame in frames:
-        lines.append(
-            json.dumps(
-                {
-                    "window": frame.index,
-                    "start_s": frame.start_s,
-                    "end_s": frame.end_s,
-                    "samples": [_sample_dict(*s) for s in frame.snapshot.samples()],
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -209,54 +190,3 @@ def diff_openmetrics(
         if abs(vb - va) > abs_tol + rel_tol * max(abs(va), abs(vb)):
             rows.append((key, va, vb))
     return MetricsDiff(rows, only_a, only_b, rel_tol, abs_tol)
-
-
-def render_table(snapshot: MetricsSnapshot, title: Optional[str] = None) -> str:
-    """Terminal table of a snapshot (histograms shown as count/sum)."""
-    rows: List[Tuple[str, str, str]] = []
-    for name, kind, labels, state in snapshot.samples():
-        label_text = _labels_text(labels) or "-"
-        if isinstance(state, Histogram):
-            value = f"count={state.count} sum={_format_value(state.sum)}"
-        else:
-            value = _format_value(state)
-        rows.append((name, label_text, value))
-    if not rows:
-        return "(no metrics recorded)"
-    widths = [
-        max(len(r[i]) for r in rows + [("metric", "labels", "value")])
-        for i in range(3)
-    ]
-    out: List[str] = []
-    if title:
-        out.append(title)
-    header = "  ".join(s.ljust(w) for s, w in zip(("metric", "labels", "value"), widths))
-    out.append(header)
-    out.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        out.append("  ".join(s.ljust(w) for s, w in zip(r, widths)))
-    return "\n".join(out)
-
-
-def render_frames(frames, skip_zero: bool = True) -> str:
-    """Watch-style rendering: one table per tumbling window."""
-    if not frames:
-        return "(no window frames)"
-    blocks = []
-    for frame in frames:
-        families = []
-        for name, kind, help_text, series in frame.snapshot.families:
-            kept = []
-            for labels, state in series:
-                if skip_zero and kind != "gauge":
-                    empty = state.count == 0 if isinstance(state, Histogram) else not state
-                    if empty:
-                        continue
-                kept.append((labels, state))
-            if kept:
-                families.append((name, kind, help_text, kept))
-        title = (
-            f"window {frame.index}  [{frame.start_s:.6f}s, {frame.end_s:.6f}s)"
-        )
-        blocks.append(render_table(MetricsSnapshot(families), title=title))
-    return "\n\n".join(blocks)

@@ -172,7 +172,7 @@ def record_run(
         traces = phase_shifted_traces(base, n_consumers)
     traces = perturb_traces(traces, plan, rig.streams.stream("chaos"))
 
-    buf = buffer_size or params.buffer_size
+    buf = params.buffer_size if buffer_size is None else buffer_size
     if impl == "PBPL":
         overrides = dict(overflow_policy="shed-to-deadline", harden_predictor=True)
         overrides.update((chaos.config_overrides or {}) if chaos else {})

@@ -1,50 +1,24 @@
-"""Workload traces: generators, the paper's web-log stand-in, CLF I/O."""
+"""Workload traces: generators and the paper's web-log stand-in."""
 
-from repro.workloads.io import (
-    TraceSummary,
-    load_trace,
-    load_trace_cached,
-    save_trace,
-    summarise_trace,
-    trace_cache_clear,
-)
 from repro.workloads.generators import (
     mmpp_trace,
     nonhomogeneous_poisson,
     poisson_trace,
     worldcup_like_trace,
 )
-from repro.workloads.logparser import (
-    LogParseError,
-    iter_clf_arrival_times,
-    parse_clf_timestamp,
-    trace_from_clf,
-    write_clf,
-)
 from repro.workloads.perturb import inject_burst, inject_stall
 from repro.workloads.selfsimilar import estimate_hurst, pareto_onoff_trace
 from repro.workloads.trace import Trace, merge_traces
 
 __all__ = [
-    "LogParseError",
     "Trace",
-    "TraceSummary",
     "estimate_hurst",
     "inject_burst",
     "inject_stall",
-    "iter_clf_arrival_times",
-    "load_trace",
-    "load_trace_cached",
     "pareto_onoff_trace",
-    "save_trace",
-    "summarise_trace",
-    "trace_cache_clear",
     "merge_traces",
     "mmpp_trace",
     "nonhomogeneous_poisson",
-    "parse_clf_timestamp",
     "poisson_trace",
-    "trace_from_clf",
     "worldcup_like_trace",
-    "write_clf",
 ]

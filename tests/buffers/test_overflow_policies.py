@@ -56,6 +56,17 @@ def test_unknown_policy_rejected(substrate):
         substrate(3, policy="yolo")
 
 
+def test_pbpl_config_names_the_valid_policies():
+    from repro.core import PBPLConfig
+
+    with pytest.raises(ValueError) as err:
+        PBPLConfig(overflow_policy="adaptive")
+    message = str(err.value)
+    assert "unknown overflow policy 'adaptive'" in message
+    for policy in OVERFLOW_POLICIES:
+        assert repr(policy) in message
+
+
 def test_shed_policy_requires_age_and_clock(substrate):
     with pytest.raises(ValueError, match="max_item_age_s"):
         substrate(3, policy="shed-to-deadline")

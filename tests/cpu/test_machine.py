@@ -85,14 +85,6 @@ def test_machine_timer_jitter_reproducible_with_seed():
     def run_once():
         env = Environment()
         machine = Machine(env, streams=RandomStreams(seed=99))
-        out = []
-
-        def proc(env):
-            late = yield from machine.timers.nanosleep(1e-4)
-            out.append(late)
-
-        env.process(proc(env))
-        env.run()
-        return out[0]
+        return machine.timers.nanosleep_lateness()
 
     assert run_once() == run_once()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cpu import PeriodicSignalTimer, TimerService
+from repro.cpu import TimerService
 from repro.sim import Environment, SimulationError
 
 
@@ -13,196 +13,37 @@ def make_timers(env, **kwargs):
 
 
 def test_nanosleep_never_early():
+    """POSIX sleeps at least the request: lateness is never negative."""
     env = Environment()
     timers = make_timers(env)
-    stamps = []
-
-    def proc(env):
-        for _ in range(50):
-            start = env.now
-            yield from timers.nanosleep(1e-4)
-            stamps.append(env.now - start)
-
-    env.process(proc(env))
-    env.run()
-    assert all(actual >= 1e-4 for actual in stamps)
-
-
-def test_nanosleep_lateness_returned():
-    env = Environment()
-    timers = make_timers(env)
-    out = []
-
-    def proc(env):
-        late = yield from timers.nanosleep(1e-4)
-        out.append((late, env.now))
-
-    env.process(proc(env))
-    env.run()
-    late, now = out[0]
-    assert now == pytest.approx(1e-4 + late)
-    assert late >= timers.nanosleep_overhead_s
+    draws = [timers.nanosleep_lateness() for _ in range(200)]
+    assert min(draws) >= timers.nanosleep_overhead_s
 
 
 def test_nanosleep_with_zero_jitter_is_exact_plus_overhead():
     env = Environment()
-    timers = make_timers(env, nanosleep_overhead_s=5e-6, nanosleep_jitter_s=0.0)
-
-    def proc(env):
-        yield from timers.nanosleep(1e-3)
-
-    env.process(proc(env))
-    env.run()
-    assert env.now == pytest.approx(1e-3 + 5e-6)
+    timers = make_timers(
+        env,
+        nanosleep_overhead_s=5e-6,
+        nanosleep_jitter_s=0.0,
+        nanosleep_tail_prob=0.0,
+    )
+    assert timers.nanosleep_lateness() == 5e-6
 
 
 def test_signal_alarm_more_accurate_than_nanosleep():
+    """SPBP's SIGALRM skew is smaller than PBP's nanosleep lateness."""
     env = Environment()
     timers = make_timers(env)
-    lates = {"nano": [], "sig": []}
-
-    def proc(env):
-        for _ in range(200):
-            late = yield from timers.nanosleep(1e-4)
-            lates["nano"].append(late)
-            skew = yield from timers.signal_alarm(1e-4)
-            lates["sig"].append(skew)
-
-    env.process(proc(env))
-    env.run()
-    assert np.mean(lates["sig"]) < np.mean(lates["nano"])
-
-
-def test_negative_durations_rejected():
-    env = Environment()
-    timers = make_timers(env)
-    with pytest.raises(SimulationError):
-        next(iter(timers.nanosleep(-1.0)))
-    with pytest.raises(SimulationError):
-        next(iter(timers.signal_alarm(-1.0)))
+    skews = [timers.signal_skew() for _ in range(200)]
+    lates = [timers.nanosleep_lateness() for _ in range(200)]
+    assert np.mean(skews) < np.mean(lates)
 
 
 def test_timer_parameter_validation():
     env = Environment()
     with pytest.raises(SimulationError):
         make_timers(env, nanosleep_jitter_s=-1.0)
-
-
-# -- periodic signal timer -------------------------------------------------
-
-
-def test_periodic_timer_fires_on_absolute_grid():
-    env = Environment()
-    timers = make_timers(env, signal_jitter_s=0.0)
-    timer = PeriodicSignalTimer(timers, period_s=0.01)
-    deadlines = []
-
-    def proc(env):
-        for _ in range(5):
-            d = yield from timer.next_tick()
-            deadlines.append(d)
-
-    env.process(proc(env))
-    env.run()
-    assert deadlines == pytest.approx([0.01, 0.02, 0.03, 0.04, 0.05])
-    assert timer.ticks_delivered == 5
-
-
-def test_periodic_timer_skips_missed_ticks():
-    env = Environment()
-    timers = make_timers(env, signal_jitter_s=0.0)
-    timer = PeriodicSignalTimer(timers, period_s=0.01)
-    deadlines = []
-
-    def proc(env):
-        d = yield from timer.next_tick()
-        deadlines.append(d)
-        yield env.timeout(0.035)  # sleep through ticks at 0.02, 0.03, 0.04
-        d = yield from timer.next_tick()
-        deadlines.append(d)
-
-    env.process(proc(env))
-    env.run()
-    assert deadlines == pytest.approx([0.01, 0.05])
-
-
-def test_periodic_timer_does_not_drift():
-    """Relative nanosleep drifts; the absolute-grid timer does not."""
-    env = Environment()
-    timers = make_timers(env, signal_jitter_s=0.0)
-    timer = PeriodicSignalTimer(timers, period_s=0.01)
-
-    def proc(env):
-        for _ in range(100):
-            yield from timer.next_tick()
-
-    env.process(proc(env))
-    env.run()
-    assert env.now == pytest.approx(1.0)  # exactly 100 periods
-
-
-def test_nanosleep_periodic_loop_drifts_late():
-    env = Environment()
-    timers = make_timers(
-        env,
-        nanosleep_overhead_s=1e-5,
-        nanosleep_jitter_s=0.0,
-        nanosleep_tail_prob=0.0,
-    )
-
-    def proc(env):
-        for _ in range(100):
-            yield from timers.nanosleep(0.01)
-
-    env.process(proc(env))
-    env.run()
-    assert env.now == pytest.approx(1.0 + 100 * 1e-5)  # accumulated lateness
-
-
-def test_periodic_timer_next_deadline_strictly_future():
-    env = Environment()
-    timers = make_timers(env, signal_jitter_s=0.0)
-    timer = PeriodicSignalTimer(timers, period_s=0.01, base_s=0.0)
-    assert timer.next_deadline() == pytest.approx(0.01)
-
-
-def test_periodic_timer_invalid_period():
-    env = Environment()
-    timers = make_timers(env)
-    with pytest.raises(SimulationError):
-        PeriodicSignalTimer(timers, period_s=0.0)
-
-
-def test_tick_event_and_confirm_protocol():
-    env = Environment()
-    timers = make_timers(env, signal_jitter_s=0.0)
-    timer = PeriodicSignalTimer(timers, period_s=0.01)
-    deadlines = []
-
-    def proc(env):
-        ev = timer.tick_event()
-        yield ev
-        timer.confirm()
-        deadlines.append(ev.value)
-        # Unconsumed tick: arm, abandon, re-arm — no double counting.
-        timer.tick_event()
-        ev2 = timer.tick_event()
-        yield ev2
-        timer.confirm()
-        deadlines.append(ev2.value)
-
-    env.process(proc(env))
-    env.run()
-    assert deadlines == pytest.approx([0.01, 0.02])
-    assert timer.ticks_delivered == 2
-
-
-def test_confirm_without_pending_tick_raises():
-    env = Environment()
-    timers = make_timers(env)
-    timer = PeriodicSignalTimer(timers, period_s=0.01)
-    with pytest.raises(SimulationError, match="without a pending"):
-        timer.confirm()
 
 
 def test_nanosleep_heavy_tail_occasionally_fires():
@@ -277,25 +118,3 @@ def test_loss_prob_validation():
         make_timers(env, clock_drift_rate=-1.0)
 
 
-def test_periodic_timer_self_heals_one_period_after_lost_tick():
-    env = Environment()
-    timers = make_timers(env, signal_jitter_s=0.0, signal_loss_prob=1.0)
-    timer = PeriodicSignalTimer(timers, period_s=0.01)
-    ticks = []
-
-    def proc(env):
-        for _ in range(3):
-            deadline = yield from timer.next_tick()
-            ticks.append((env.now, deadline))
-
-    env.process(proc(env))
-    env.run(until=0.1)
-    # Every armed tick is swallowed, so delivery slips one period each
-    # time — the timer never strands its caller.
-    for now, deadline in ticks:
-        assert now == pytest.approx(deadline)
-    assert [d for _, d in ticks] == [
-        pytest.approx(0.02),
-        pytest.approx(0.04),
-        pytest.approx(0.06),
-    ]

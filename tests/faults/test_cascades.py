@@ -1,15 +1,12 @@
-"""Cascading faults: triggers, window resolution, and the live detector."""
+"""Cascading faults: window triggers, their resolution and live firing."""
 
 import pytest
 
 from repro.faults import (
     BurstStorm,
     ConsumerSlowdown,
-    FaultDetector,
     FaultPlan,
     LostSignals,
-    OverflowTrigger,
-    RecoveryTrigger,
     RuntimeInjector,
     TriggeredFault,
     WindowTrigger,
@@ -60,18 +57,7 @@ def test_window_trigger_can_chain_onto_another_triggered_fault():
     assert plan.resolved_windows()[2] == pytest.approx((0.3, 0.4))
 
 
-def test_dynamic_triggers_have_no_static_window():
-    plan = FaultPlan(
-        [
-            TriggeredFault(_slow(), RecoveryTrigger(count=2)),
-            TriggeredFault(_slow(), OverflowTrigger(rate_per_s=100.0)),
-        ]
-    )
-    assert plan.resolved_windows() == [None, None]
-    assert plan.windows() == []
-
-
-def test_window_trigger_rejects_forward_and_dynamic_sources():
+def test_window_trigger_rejects_forward_sources():
     with pytest.raises(ValueError, match="earlier fault"):
         FaultPlan([TriggeredFault(_slow(), WindowTrigger(source=0))])
     with pytest.raises(ValueError, match="earlier fault"):
@@ -79,13 +65,6 @@ def test_window_trigger_rejects_forward_and_dynamic_sources():
             [
                 BurstStorm(start_s=0.1, duration_s=0.1, factor=2.0),
                 TriggeredFault(_slow(), WindowTrigger(source=5)),
-            ]
-        )
-    with pytest.raises(ValueError, match="dynamically triggered"):
-        FaultPlan(
-            [
-                TriggeredFault(_slow(), RecoveryTrigger()),
-                TriggeredFault(_slow(), WindowTrigger(source=0)),
             ]
         )
 
@@ -99,7 +78,7 @@ def test_triggered_fault_validates_its_wrapped_spec():
     with pytest.raises(ValueError, match="start_s=0"):
         TriggeredFault(
             ConsumerSlowdown(start_s=0.1, duration_s=0.1, factor=2.0),
-            RecoveryTrigger(),
+            WindowTrigger(source=0),
         )
 
 
@@ -110,12 +89,6 @@ def test_trigger_parameter_validation():
         WindowTrigger(source=0, edge="middle")
     with pytest.raises(ValueError, match="delay"):
         WindowTrigger(source=0, delay_s=-0.1)
-    with pytest.raises(ValueError, match=">= 1"):
-        RecoveryTrigger(count=0)
-    with pytest.raises(ValueError, match="positive"):
-        OverflowTrigger(rate_per_s=0.0)
-    with pytest.raises(ValueError, match="positive"):
-        OverflowTrigger(rate_per_s=1.0, window_s=0.0)
 
 
 def test_cascades_describe_trigger_then_fault():
@@ -148,58 +121,6 @@ def test_window_triggered_fault_fires_at_resolved_time():
     assert seen[0.45] == 1.0
     assert seen[0.6] == pytest.approx(3.0)
     assert seen[0.8] == 1.0
-
-
-def test_dynamic_trigger_skips_without_a_detector_host():
-    # make_live_system has no managers: nothing can host a detector, so
-    # a dynamically triggered fault skips (mirrors the baseline impls).
-    env = Environment()
-    system = make_live_system(env)
-    plan = FaultPlan([TriggeredFault(_slow(0.2), RecoveryTrigger())])
-    RuntimeInjector(env, system, plan).start()
-    seen = sample_at(env, [0.5], lambda: system.consumers[0].service_scale)
-    env.run(until=1.0)
-    assert seen[0.5] == 1.0
-
-
-# -- the detector's trigger waiters ----------------------------------------------
-
-
-def test_when_recoveries_fires_at_threshold():
-    env = Environment()
-    detector = FaultDetector(env, recovery_threshold=10, hysteresis_s=0.05)
-    waiter = detector.when_recoveries(2)
-
-    def driver(env):
-        yield env.timeout(0.1)
-        detector.note_recovery()
-        assert not waiter.triggered
-        yield env.timeout(0.1)
-        detector.note_recovery()
-
-    env.process(driver(env))
-    env.run(until=0.5)
-    assert waiter.triggered
-    # Condition already holds: a late waiter succeeds immediately.
-    assert detector.when_recoveries(1).triggered
-
-
-def test_when_overflow_rate_uses_its_own_window():
-    env = Environment()
-    detector = FaultDetector(env, hysteresis_s=0.05)
-    waiter = detector.when_overflow_rate(rate_per_s=100.0, window_s=0.02)
-
-    def driver(env):
-        yield env.timeout(0.1)
-        detector.note_overflow()  # 1 / 0.02s = 50/s: below threshold
-        assert not waiter.triggered
-        yield env.timeout(0.01)
-        detector.note_overflow()  # 2 / 0.02s = 100/s: fires
-        yield env.timeout(0.0)
-
-    env.process(driver(env))
-    env.run(until=0.5)
-    assert waiter.triggered
 
 
 # -- the shipped cascade scenario ------------------------------------------------

@@ -124,3 +124,44 @@ def test_render_series():
 def test_render_comparison():
     text = render_comparison("t", [("wakeups", "-39.5%", "-35.0%")])
     assert "paper" in text and "reproduced" in text
+
+
+# -- a buffer of 0 is an error, not "the default" -------------------------------
+
+
+def _fig9_cli_buffer_0(params):
+    from repro.cli import main
+
+    main(["fig9", "--consumers", "2", "--duration", "0.2",
+          "--replicates", "1", "--buffer", "0"])
+
+
+def _grid_cell_buffer_0(params):
+    from repro.harness import CellSpec, ExperimentGrid
+
+    ExperimentGrid(params, jobs=1).run([CellSpec("PBPL", 2, 0)])
+
+
+def _recorded_run_buffer_0(params):
+    from repro.trace import record_run
+
+    record_run("Mutex", "clean", duration_s=0.1, n_consumers=2, buffer_size=0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p: p.pc_config(0),
+        lambda p: p.pbpl_config(0),
+        lambda p: run_multi("Mutex", 2, p, buffer_size=0),
+        lambda p: run_multi_comparison(p, 2, buffer_size=0, jobs=1),
+        _grid_cell_buffer_0,
+        _recorded_run_buffer_0,
+        _fig9_cli_buffer_0,
+    ],
+    ids=["pc_config", "pbpl_config", "run_multi", "fig9", "grid", "record_run",
+         "cli"],
+)
+def test_buffer_of_zero_is_rejected_not_defaulted(params, build):
+    with pytest.raises(ValueError, match="buffer size must be >= 1"):
+        build(params)

@@ -42,18 +42,6 @@ def test_snapshot_baseline_impl_reconciles_energy(capsys, tmp_path):
     assert "energy_joules_total" in capsys.readouterr().out
 
 
-def test_watch_renders_window_tables(capsys):
-    code = main(["metrics", "watch", *FAST, "--window", "0.1"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "window 0" in out and "window 1" in out
-    assert "items_consumed_total" in out
-
-
-def test_watch_rejects_bad_window(capsys):
-    assert main(["metrics", "watch", *FAST, "--window", "0"]) == 2
-
-
 def test_diff_clean_and_drifted(capsys, tmp_path):
     a = tmp_path / "a.prom"
     b = tmp_path / "b.prom"

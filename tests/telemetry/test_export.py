@@ -9,7 +9,6 @@ from repro.telemetry import (
     MetricsRegistry,
     diff_openmetrics,
     parse_openmetrics,
-    render_table,
     snapshot_to_jsonl,
     to_openmetrics,
 )
@@ -95,13 +94,6 @@ def test_jsonl_is_valid_and_sorted():
     hist = next(r for r in rows if r["name"] == "batch_items")
     assert hist["count"] == 3
     assert hist["counts"] == [1, 1, 1]
-
-
-def test_render_table_lists_series(metered_snapshot):
-    table = render_table(metered_snapshot, title="snapshot")
-    assert "snapshot" in table
-    assert "wakeups_total" in table
-    assert "energy_joules_total" in table
 
 
 def test_exported_floats_are_repr_exact():

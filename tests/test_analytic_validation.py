@@ -128,7 +128,7 @@ def test_item_latency_exact_for_bp():
     B, g, s = 10, 1e-2, 1e-3
     cfg = PCConfig(
         buffer_size=B, service_time_s=s, sync_overhead_s=0.0,
-        max_response_latency_s=10.0, track_latencies=True,
+        max_response_latency_s=10.0,
     )
     impl = BatchProcessing(env, core, timers, regular(1 / g, 10.0), cfg).start()
     env.run(until=10.0)

@@ -32,82 +32,6 @@ def test_sanity_passes(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_trace_generate_and_inspect(capsys, tmp_path):
-    path = tmp_path / "t.npz"
-    assert (
-        main(
-            [
-                "trace",
-                "generate",
-                "--kind",
-                "poisson",
-                "--rate",
-                "500",
-                "--duration",
-                "2.0",
-                "-o",
-                str(path),
-            ]
-        )
-        == 0
-    )
-    assert path.exists()
-    capsys.readouterr()
-    assert main(["trace", "inspect", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "mean rate" in out
-    assert "500" in out
-
-
-def test_trace_inspect_clf(capsys, tmp_path):
-    log = tmp_path / "access.log"
-    log.write_text(
-        'h - - [30/Apr/1998:21:30:17 +0000] "GET /a HTTP/1.0" 200 1\n'
-        'h - - [30/Apr/1998:21:30:19 +0000] "GET /b HTTP/1.0" 200 1\n'
-    )
-    assert main(["trace", "inspect", str(log)]) == 0
-    assert "items     : 2" in capsys.readouterr().out
-
-
-def test_tune_reports_knee(capsys):
-    code = main(
-        [
-            "tune",
-            "--consumers",
-            "2",
-            "--candidates_ms",
-            "5,10",
-            *COMMON,
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "suggested Δ" in out
-    assert "◀ best" in out
-
-
-def test_waveform_renders(capsys):
-    assert (
-        main(
-            [
-                "waveform",
-                "--impl",
-                "BP",
-                "--consumers",
-                "2",
-                "--window_s",
-                "0.1",
-                *COMMON,
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "power waveform" in out
-    assert "wakeup impulses" in out
-    assert "█" in out
-
-
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["nope"])
@@ -157,6 +81,36 @@ def test_chaos_json_mode(capsys):
         "lost-signals",
         "combined",
     }
+
+
+def test_chaos_json_mode_exits_one_on_a_failing_scenario(capsys, monkeypatch):
+    """The --json runs are CI's resilience gate: a failing report must
+    make them exit non-zero, not only print the verdict."""
+    import json
+
+    import repro.faults
+    from repro.faults import ChaosReport
+    from repro.metrics.resilience import ResilienceMetrics
+
+    leaked = ResilienceMetrics(
+        scenario="clean",
+        duration_s=0.8,
+        max_response_latency_s=0.01,
+        slot_size_s=0.01,
+        produced=10,
+        consumed=7,
+    )
+    assert leaked.verdict == "LEAKED"
+
+    def failing_run_chaos(scenarios, *, seed, duration_s, n_consumers, **_kw):
+        return ChaosReport(seed, duration_s, n_consumers, results=[leaked])
+
+    monkeypatch.setattr(repro.faults, "run_chaos", failing_run_chaos)
+    code = main(["chaos", "--smoke", "--consumers", "2", "--json", *COMMON])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["passed"] is False
+    assert "resilience violations in: clean" in captured.err
 
 
 def test_chaos_reports_are_seed_deterministic(capsys):

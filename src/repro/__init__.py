@@ -9,8 +9,8 @@ Layered as the paper's system is:
   DVFS, timers);
 * :mod:`repro.power` — energy model + the paper's two instruments
   (PowerTop analogue, shunt-resistor scope analogue);
-* :mod:`repro.buffers` — ring/bounded/segmented buffers and the global
-  elastic pool;
+* :mod:`repro.buffers` — the one bounded FIFO every implementation
+  buffers into, and the global elastic pool;
 * :mod:`repro.workloads` — web-log-like trace generation;
 * :mod:`repro.impls` — the §III study set (BW, Yield, Mutex, Sem, BP,
   PBP, SPBP) and multi-pair assembly;

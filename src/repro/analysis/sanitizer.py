@@ -422,13 +422,10 @@ def _wrap(cls: type, name: str) -> None:
 
 #: (module path, class name, mutating methods) probed by install_probes.
 PROBE_TARGETS = (
-    ("repro.buffers.overflow", "OverflowPolicyMixin", ("push", "try_push")),
-    ("repro.buffers.bounded", "BoundedBuffer", ("pop", "drain")),
-    ("repro.buffers.ring", "RingBuffer", ("pop", "drain")),
     (
-        "repro.buffers.segmented",
-        "SegmentedBuffer",
-        ("pop", "drain", "set_capacity", "grow", "shrink"),
+        "repro.buffers.bounded",
+        "BoundedBuffer",
+        ("push", "try_push", "pop", "drain", "set_capacity"),
     ),
     (
         "repro.buffers.pool",

@@ -1,30 +1,21 @@
 """Buffer substrates for every producer-consumer implementation.
 
-* :class:`RingBuffer` — the classic circular buffer (BW/Yield/Sem/BP/
-  PBP/SPBP, paper §III-A);
-* :class:`BoundedBuffer` — the counted non-circular buffer of the Mutex
-  implementation;
-* :class:`SegmentedBuffer` — linked-segment FIFO with O(1) capacity
-  adjustment (PBPL's resizable per-consumer buffer, §V-C);
+* :class:`BoundedBuffer` — the one bounded FIFO, standing in for the
+  paper's circular buffer (§III-A), Mutex's counted non-circular buffer
+  and PBPL's resizable per-consumer buffer (§V-C), with one overflow
+  model: an ``overflows`` counter and the degradation policies
+  ``block`` / ``drop-oldest`` / ``drop-newest`` / ``shed-to-deadline``;
 * :class:`GlobalBufferPool` — the elastic global preallocation that
   lends slots between consumers (paper Fig. 8).
-
-All three FIFO substrates share one overflow model (see
-:mod:`repro.buffers.overflow`): a unified ``overflows`` counter and the
-degradation policies ``block`` / ``drop-oldest`` / ``drop-newest`` /
-``shed-to-deadline``.
 """
 
-from repro.buffers.bounded import BoundedBuffer
-from repro.buffers.overflow import (
+from repro.buffers.bounded import (
     OVERFLOW_POLICIES,
+    BoundedBuffer,
     BufferOverflow,
     BufferUnderflow,
-    OverflowPolicyMixin,
 )
 from repro.buffers.pool import GlobalBufferPool
-from repro.buffers.ring import RingBuffer
-from repro.buffers.segmented import SegmentedBuffer
 
 __all__ = [
     "BoundedBuffer",
@@ -32,7 +23,4 @@ __all__ = [
     "BufferUnderflow",
     "GlobalBufferPool",
     "OVERFLOW_POLICIES",
-    "OverflowPolicyMixin",
-    "RingBuffer",
-    "SegmentedBuffer",
 ]

@@ -9,15 +9,16 @@ taking at most what the pool has free:
     Bi = min( Bg − Σq Bq ,  r̂·(τ_{j+1} − τ_j) )
 
 The pool tracks entitlements (who may hold how many slots); the items
-themselves live in each consumer's :class:`SegmentedBuffer`, whose
-capacity the pool adjusts — the "elastic walls" of the paper's Fig. 8.
+themselves live in each consumer's
+:class:`~repro.buffers.bounded.BoundedBuffer`, whose capacity the pool
+moves in place — the "elastic walls" of the paper's Fig. 8.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from repro.buffers.segmented import SegmentedBuffer
+from repro.buffers.bounded import BoundedBuffer
 from repro.telemetry.registry import NULL_REGISTRY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,7 +50,7 @@ class GlobalBufferPool:
         self.base_allocation = base_allocation
         self.n_consumers = n_consumers
         self.total_slots = base_allocation * n_consumers
-        self._buffers: Dict[str, SegmentedBuffer] = {}
+        self._buffers: Dict[str, BoundedBuffer] = {}
         #: Aggregated telemetry (falsy NULL_REGISTRY when metrics off).
         self.metrics = metrics or NULL_REGISTRY
         self._m_upsize_req = self.metrics.counter(
@@ -88,24 +89,22 @@ class GlobalBufferPool:
     def register(
         self,
         consumer_id: str,
-        segment_size: int = 16,
         policy: str = "block",
         max_item_age_s: Optional[float] = None,
         clock: Optional[Callable[[], float]] = None,
-    ) -> SegmentedBuffer:
+    ) -> BoundedBuffer:
         """Create (and entitle B0 slots to) a consumer's buffer.
 
         ``policy`` (plus ``max_item_age_s``/``clock`` for
         ``shed-to-deadline``) selects the buffer's overflow degradation
-        policy — see :mod:`repro.buffers.overflow`.
+        policy — see :mod:`repro.buffers.bounded`.
         """
         if consumer_id in self._buffers:
             raise ValueError(f"consumer {consumer_id!r} already registered")
         if len(self._buffers) >= self.n_consumers:
             raise ValueError(f"pool sized for {self.n_consumers} consumers")
-        buffer = SegmentedBuffer(
+        buffer = BoundedBuffer(
             self.base_allocation,
-            segment_size=segment_size,
             policy=policy,
             max_item_age_s=max_item_age_s,
             clock=clock,
@@ -113,7 +112,7 @@ class GlobalBufferPool:
         self._buffers[consumer_id] = buffer
         return buffer
 
-    def buffer(self, consumer_id: str) -> SegmentedBuffer:
+    def buffer(self, consumer_id: str) -> BoundedBuffer:
         return self._buffers[consumer_id]
 
     def note_migration(self, consumer_id: str) -> int:

@@ -267,18 +267,20 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(f"chaos: resilience violations in: {', '.join(bad)}", file=sys.stderr)
         rc = 1
     if args.sanitize:
-        rc = max(rc, _chaos_sanitize_pass(scenarios, args, report.results))
+        impls = ("PBPL",) + (BASELINE_IMPLS if args.baselines else ())
+        rc = max(rc, _chaos_sanitize_pass(scenarios, impls, args, report))
     return rc
 
 
-def _chaos_sanitize_pass(scenarios, args: argparse.Namespace, plain) -> int:
-    """Re-run each scenario serially under the simultaneity sanitizer.
+def _chaos_sanitize_pass(scenarios, impls, args: argparse.Namespace, report) -> int:
+    """Re-run each scenario × implementation serially under the
+    simultaneity sanitizer.
 
     A separate pass on purpose: the sanitizing environment records call
     sites per scheduled event, which is too slow for the scored matrix
     and is jobs-agnostic (probes are per-process state). Each sanitized
-    run must also score exactly what the plain run in ``plain`` did: its
-    loop never advances the clock in place, so this checks
+    run must also score exactly what its plain run in ``report`` did:
+    its loop never advances the clock in place, so this checks
     ``Environment.try_advance`` end to end.
     """
     import json
@@ -289,29 +291,36 @@ def _chaos_sanitize_pass(scenarios, args: argparse.Namespace, plain) -> int:
     params = StandardParams(duration_s=args.duration, seed=args.seed)
     info = sys.stderr if args.json else sys.stdout
     races = mismatches = 0
-    for scenario, plain_result in zip(scenarios, plain):
-        result = sanitize_scenario(scenario, params, n_consumers=args.consumers)
-        if json.dumps(result.scored.to_dict(), sort_keys=True) != json.dumps(
-            plain_result.to_dict(), sort_keys=True
-        ):
-            mismatches += 1
-            print(
-                f"sanitize: {scenario.name}: scored differently from the "
-                "plain run",
-                file=sys.stderr,
+    # The report holds each scenario's PBPL result in ``results`` and
+    # its baseline results, in ``impls`` order, in ``baselines``.
+    pbpl_runs, baseline_runs = iter(report.results), iter(report.baselines)
+    for scenario in scenarios:
+        for impl in impls:
+            plain = next(pbpl_runs if impl == "PBPL" else baseline_runs)
+            label = scenario.name if impl == "PBPL" else f"{scenario.name} × {impl}"
+            result = sanitize_scenario(
+                scenario, params, n_consumers=args.consumers, impl=impl
             )
-        status = "clean" if result.ok else f"{len(result.races)} RACE(S)"
-        print(
-            f"sanitize: {scenario.name}: {status} "
-            f"({result.events_seen} events, "
-            f"{result.contended_groups} same-timestamp groups)",
-            file=info,
-            flush=True,
-        )
-        if not result.ok:
-            races += len(result.races)
-            for race in result.races:
-                print(race.render(), file=sys.stderr)
+            if json.dumps(result.scored.to_dict(), sort_keys=True) != json.dumps(
+                plain.to_dict(), sort_keys=True
+            ):
+                mismatches += 1
+                print(
+                    f"sanitize: {label}: scored differently from the plain run",
+                    file=sys.stderr,
+                )
+            status = "clean" if result.ok else f"{len(result.races)} RACE(S)"
+            print(
+                f"sanitize: {label}: {status} "
+                f"({result.events_seen} events, "
+                f"{result.contended_groups} same-timestamp groups)",
+                file=info,
+                flush=True,
+            )
+            if not result.ok:
+                races += len(result.races)
+                for race in result.races:
+                    print(race.render(), file=sys.stderr)
     if races:
         print(f"chaos --sanitize: {races} simultaneity race(s)", file=sys.stderr)
     return 1 if races or mismatches else 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.buffers.overflow import OVERFLOW_POLICIES
+from repro.buffers.bounded import OVERFLOW_POLICIES
 from repro.impls.base import PCConfig
 
 
@@ -45,7 +45,7 @@ class PBPLConfig(PCConfig):
     resize_margin: float = 0.5
     #: Overflow degradation policy for consumer buffers: "block" (the
     #: paper's back-pressure), "drop-oldest", "drop-newest",
-    #: "shed-to-deadline" (see :mod:`repro.buffers.overflow`).
+    #: "shed-to-deadline" (see :mod:`repro.buffers.bounded`).
     overflow_policy: str = "block"
     #: Wrap the predictor in :class:`~repro.core.predictors.
     #: HardenedPredictor` (outlier clamping + fast re-convergence after

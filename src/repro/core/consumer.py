@@ -30,9 +30,8 @@ from repro.cpu.core import Core
 from repro.core.config import PBPLConfig
 from repro.core.manager import CoreManager
 from repro.core.predictors import HardenedPredictor, RatePredictor, make_predictor
-from repro.impls.base import PairStats, Producer
+from repro.impls.base import PairStats, Producer, serve_batch
 from repro.impls.single import WAKE_CHECK_S
-from repro.sim.errors import SimulationError
 from repro.telemetry.registry import NULL_REGISTRY
 from repro.trace.tracer import NULL_TRACER
 from repro.workloads.trace import Trace
@@ -177,7 +176,9 @@ class LatchingConsumer:
                 if config.overflow_policy == "shed-to-deadline"
                 else None
             ),
-            clock=lambda: self.env.now,
+            # Reads the env, not self: a closure over the consumer
+            # would make the consumer and its buffer a reference cycle.
+            clock=lambda: env.now,
         )
         if self.metrics:
             self._m_capacity.set(self.buffer.capacity)
@@ -205,31 +206,20 @@ class LatchingConsumer:
         self._cap_weighted_sum = 0.0
 
     # -- producer side -----------------------------------------------------------
-    def deliver(self, t: float):
-        """Delivery routine handed to the :class:`Producer`.
-
-        Under the default ``"block"`` policy a full buffer back-
-        pressures the producer (the paper's semantics). Lossy policies
-        never block: the buffer itself resolves the overflow (dropping
-        or shedding per its policy) and every discarded item is counted
-        into ``stats.items_shed`` — the resilience report's
-        conservation check depends on that accounting being exact.
-        """
-        blocked = self.try_deliver(t)
-        if blocked is not None:
-            yield from blocked
-
     def try_deliver(self, t: float):
-        """Synchronous fast path of :meth:`deliver`.
+        """Delivery routine handed to the :class:`Producer`.
 
         Returns None when the item was placed without suspending (the
         overwhelming majority of deliveries), else a generator carrying
-        the overflow/back-pressure path for the caller to ``yield
-        from``. Same operations in the same order as the plain
-        generator route — the split only avoids allocating and resuming
-        a generator for deliveries that never block.
+        the overflow path for the producer to ``yield from``. Under the
+        default ``"block"`` policy a full buffer back-pressures the
+        producer (the paper's semantics). Lossy policies never block:
+        the buffer itself resolves the overflow (dropping or shedding
+        per its policy) and every discarded item is counted into
+        ``stats.items_shed`` — the resilience report's conservation
+        check depends on that accounting being exact.
         """
-        if self.metrics:
+        if self.metrics.enabled:
             self._inc_produced()
         buffer = self.buffer
         if buffer.is_full:
@@ -327,12 +317,6 @@ class LatchingConsumer:
     # -- the consumer process ----------------------------------------------------
     def process(self):
         env = self.env
-        cfg = self.config
-        stats = self.stats
-        record_latency = stats.record_latency
-        item_cost_s = self._item_cost_s
-        base_cost = type(self)._item_cost_s is LatchingConsumer._item_cost_s
-        deadline_s = cfg.max_response_latency_s
         # Bootstrap: no history yet — reserve the very next slot.
         self.manager.reserve(self, self.manager.track.slot_of(env.now) + 1)
         while True:
@@ -372,39 +356,7 @@ class LatchingConsumer:
             batch = self.buffer.drain()
             self.in_flight = self._batch_size = len(batch)
             self._notify_space()
-            # The per-item loop is hold.busy() inlined (same operations,
-            # same order — one generator allocation and two resumes saved
-            # per consumed item). hold is never released inside the loop,
-            # and the batch-opening busy(WAKE_CHECK_S) above has already
-            # consumed the hold's pending wake/context-switch cost, so
-            # the startup branch reduces to plain division.
-            timeout = env.timeout
-            try_advance = env.try_advance
-            speedup = core.pstates.speedup
-            account_busy = core._account_busy
-            owner = self.owner
-            service_time_s = self.config.service_time_s
-            for t in batch:
-                # service_scale is read per item on purpose: fault
-                # injectors change it mid-run. Subclasses overriding
-                # _item_cost_s (pipeline stages) keep their hook; the
-                # base cost is computed inline.
-                cost = (
-                    service_time_s * self.service_scale
-                    if base_cost
-                    else item_cost_s(t)
-                )
-                if not cost >= 0:
-                    raise SimulationError(f"cpu time {cost!r} is not >= 0")
-                if not core._pstate_settled:
-                    core._reselect_pstate()
-                duration = cost / speedup(core.pstate)
-                if duration > 0 and not try_advance(duration):
-                    yield timeout(duration)
-                account_busy(owner, duration)
-                stats.consumed += 1
-                record_latency(env.now - t, deadline_s, now_s=env.now)
-                self.in_flight -= 1
+            yield from serve_batch(self, core, batch)
             if self.metrics:
                 # Batch-level accounting: one observe + one add per
                 # batch, never per item.
@@ -451,11 +403,6 @@ class LatchingConsumer:
             done = self._batch_size - self.in_flight
             self._m_consumed.inc(done - self._credited)
             self._credited = done
-
-    def _item_cost_s(self, t: float) -> float:
-        """Per-item service cost (hook: pipeline stages add a
-        deterministic per-item spread)."""
-        return self.config.service_time_s * self.service_scale
 
     def _observe_rate(self, rate: float) -> None:
         """Feed the predictor; trace/count clamp and re-convergence."""
@@ -624,7 +571,8 @@ class LatchingConsumer:
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> "LatchingConsumer":
         producer = Producer(
-            self.env, self.trace, self.deliver, self.stats, f"{self.owner}-producer"
+            self.env, self.trace, self.try_deliver, self.stats,
+            f"{self.owner}-producer",
         )
         self.env.process(producer.process(), name=f"{self.owner}-producer")
         self.env.process(self.process(), name=self.owner)

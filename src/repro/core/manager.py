@@ -177,11 +177,19 @@ class CoreManager:
         :meth:`shutdown` on core failure) ends the loop cleanly — an
         uncaught interrupt would fail the Process event and surface from
         ``env.run`` as a crash, which is not what fail-stop means.
+
+        :meth:`~repro.sim.environment.Environment.close` ends the run
+        for good. The track's reservations hold consumers that hold this
+        manager, so the track is cleared then, or that cycle would keep
+        the whole run alive.
         """
         try:
             yield from self._loop()
         except Interrupt:
             return
+        except GeneratorExit:
+            self.track.clear()
+            raise
 
     def _loop(self):
         env = self.env

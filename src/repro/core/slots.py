@@ -117,6 +117,11 @@ class SlotTrack:
                 del self._holder_slot[holder]
         return list(holders)
 
+    def clear(self) -> None:
+        """Drop every reservation."""
+        self._slots.clear()
+        self._holder_slot.clear()
+
     def drop_past(self, now: float) -> None:
         """Discard reservations in slots that already started (hygiene)."""
         current = self.slot_of(now)

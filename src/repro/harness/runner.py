@@ -149,6 +149,7 @@ def baseline_power_w(params: StandardParams, replicate: int) -> Tuple[float, flo
         rig.machine.core(CONSUMER_CORE).park()
         rig.env.run(until=params.duration_s)
         _BASELINE_CACHE[key] = rig.measure_power_w(params.duration_s)
+        rig.env.close()
     return _BASELINE_CACHE[key]
 
 
@@ -235,7 +236,7 @@ def run_single_pair(
         owner="consumer",
     ).start()
     rig.env.run(until=params.duration_s)
-    return _fill_metrics(
+    metrics = _fill_metrics(
         name,
         params,
         replicate,
@@ -245,6 +246,8 @@ def run_single_pair(
         buffer_size=params.buffer_size,
         average_buffer=float(impl.buffer.capacity),
     )
+    rig.env.close()
+    return metrics
 
 
 def run_multi(
@@ -280,7 +283,7 @@ def run_multi(
         ).start()
     rig.env.run(until=params.duration_s)
     average_buffer = system.average_buffer_capacity()
-    return _fill_metrics(
+    metrics = _fill_metrics(
         name,
         params,
         replicate,
@@ -292,3 +295,5 @@ def run_multi(
         lost_signals=getattr(system, "lost_signals", 0),
         watchdog_recoveries=getattr(system, "watchdog_recoveries", 0),
     )
+    rig.env.close()
+    return metrics

@@ -5,7 +5,8 @@ Every implementation in :mod:`repro.impls.single` pairs one trace-driven
 buffer and a synchronisation discipline. This module holds the pieces
 they all share: the configuration block, per-pair statistics (including
 the latency tracker behind the paper's "maximum response latency"
-requirement), and the producer process.
+requirement), the producer process, and :func:`serve_batch`, the batch
+loop of the batch implementations and PBPL.
 
 Producers are *external event sources* (paper §IV-A: "producers are
 either processes on separate cores or external events, such that they
@@ -18,13 +19,15 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Generator
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 import numpy as np
 
+from repro.sim.errors import SimulationError
 from repro.workloads.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cpu.core import Core
     from repro.sim.environment import Environment
 
 
@@ -132,17 +135,21 @@ class PairStats:
         return float(np.percentile(self.latencies, q))
 
 
-#: A delivery routine: a generator that places one item (its production
-#: timestamp) into the pair's buffer, blocking on back-pressure.
-DeliverFn = Callable[[float], Generator]
+#: A delivery routine (an implementation's ``try_deliver``): places one
+#: item (its production timestamp) and returns None, or returns the
+#: generator of the blocked path for the producer to ``yield from``.
+DeliverFn = Callable[[float], Optional[Generator]]
 
 
 class Producer:
-    """Replays a :class:`Trace`, delivering each arrival via ``deliver``.
+    """Replays a :class:`Trace`, delivering each arrival via ``try_deliver``.
 
     The delivery routine owns all synchronisation (it differs per
-    implementation); the producer just paces it. Back-pressure shifts
-    subsequent deliveries later, exactly like a blocked POSIX producer.
+    implementation); the producer just paces it. Most deliveries place
+    the item without suspending, so they cost no generator; one that
+    would block hands back its blocked path, which the producer runs in
+    place. Back-pressure shifts subsequent deliveries later, exactly
+    like a blocked POSIX producer.
     """
 
     #: Arrival timestamps are materialised from the numpy trace in
@@ -154,41 +161,76 @@ class Producer:
         self,
         env: "Environment",
         trace: Trace,
-        deliver: DeliverFn,
+        try_deliver: DeliverFn,
         stats: PairStats,
         name: str = "producer",
     ) -> None:
         self.env = env
         self.trace = trace
-        self.deliver = deliver
+        self.try_deliver = try_deliver
         self.stats = stats
         self.name = name
 
     def process(self):
         """The producer's simulation process (pass to ``env.process``)."""
         env = self.env
-        deliver = self.deliver
+        try_deliver = self.try_deliver
         stats = self.stats
         timeout = env.timeout
-        # Delivery routines exposing the split synchronous fast path
-        # (see LatchingConsumer.try_deliver) skip a generator allocation
-        # and two resumes per arrival; plain generator routines take the
-        # classic route.
-        try_deliver = getattr(getattr(deliver, "__self__", None), "try_deliver", None)
         times = self.trace.times
         chunk = self.CHUNK
         for start in range(0, len(times), chunk):
-            if try_deliver is not None:
-                for t in times[start : start + chunk].tolist():
-                    if env.now < t:
-                        yield timeout(t - env.now)
-                    blocked = try_deliver(t)
-                    if blocked is not None:
-                        yield from blocked
-                    stats.produced += 1
-            else:
-                for t in times[start : start + chunk].tolist():
-                    if env.now < t:
-                        yield timeout(t - env.now)
-                    yield from deliver(t)
-                    stats.produced += 1
+            for t in times[start : start + chunk].tolist():
+                if env.now < t:
+                    yield timeout(t - env.now)
+                blocked = try_deliver(t)
+                if blocked is not None:
+                    yield from blocked
+                stats.produced += 1
+
+
+def serve_batch(pair, core: "Core", batch) -> Generator:
+    """Serve a drained ``batch`` on ``core``, which ``pair`` holds.
+
+    The batch loop of BP, PBP/SPBP and PBPL, one generator frame for the
+    whole batch: ``yield from serve_batch(pair, core, batch)``. Per item
+    it is ``hold.busy(cost)`` inlined (same operations, same order),
+    then the item's consumption and response latency go into
+    ``pair.stats`` and ``pair.in_flight`` drops by one. The caller must
+    have opened the hold with a ``busy(WAKE_CHECK_S)`` slice, which
+    consumes its pending wake and context-switch cost, so a slice is
+    plain ``cost / speedup``.
+
+    The cost is ``config.service_time_s * pair.service_scale``, read per
+    item because fault injectors change ``service_scale`` mid-run, unless
+    ``pair`` defines an ``_item_cost_s(t)`` hook (pipeline stages do).
+    """
+    env = core.env
+    timeout = env.timeout
+    try_advance = env.try_advance
+    speedup = core.pstates.speedup
+    account_busy = core._account_busy
+    owner = pair.owner
+    stats = pair.stats
+    record_latency = stats.record_latency
+    config = pair.config
+    deadline_s = config.max_response_latency_s
+    service_time_s = config.service_time_s
+    item_cost_s = getattr(pair, "_item_cost_s", None)
+    for t in batch:
+        cost = (
+            service_time_s * pair.service_scale
+            if item_cost_s is None
+            else item_cost_s(t)
+        )
+        if not cost >= 0:
+            raise SimulationError(f"cpu time {cost!r} is not >= 0")
+        if not core._pstate_settled:
+            core._reselect_pstate()
+        duration = cost / speedup(core.pstate)
+        if duration > 0 and not try_advance(duration):
+            yield timeout(duration)
+        account_busy(owner, duration)
+        stats.consumed += 1
+        record_latency(env.now - t, deadline_s, now_s=env.now)
+        pair.in_flight -= 1

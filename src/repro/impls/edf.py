@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.buffers import RingBuffer
+from repro.buffers import BoundedBuffer
 from repro.cpu.machine import Machine
 from repro.impls.base import PairStats, PCConfig, Producer
 from repro.impls.single import WAKE_CHECK_S
@@ -43,7 +43,7 @@ class _EDFPair:
         self.config = config
         self.trace = trace
         self.owner = owner
-        self.buffer = RingBuffer(config.buffer_size)
+        self.buffer = BoundedBuffer(config.buffer_size)
         self.stats = PairStats()
         self.in_flight = 0
         self._space_event = None
@@ -51,19 +51,26 @@ class _EDFPair:
         self.oldest_arrival: Optional[float] = None
         self.coordinator: "EDFCoordinator" = None  # set by the system
 
-    def deliver(self, t: float):
+    def try_deliver(self, t: float):
+        """Place one item; on a full buffer, return the blocked path
+        for the producer to ``yield from`` (see :class:`Producer`)."""
         if self.buffer.is_full:
-            self.stats.overflows += 1
-            self.coordinator.notify_overflow()
-            while self.buffer.is_full:
-                self._space_event = self.env.event()
-                yield self._space_event
+            return self._deliver_blocked(t)
         self.buffer.push(t)
         if self.oldest_arrival is None:
             self.oldest_arrival = t
             self.coordinator.notify_first_item()
         if self.buffer.is_full:
             self.coordinator.notify_overflow()
+        return None
+
+    def _deliver_blocked(self, t: float):
+        self.stats.overflows += 1
+        self.coordinator.notify_overflow()
+        while self.buffer.is_full:
+            self._space_event = self.env.event()
+            yield self._space_event
+        self.try_deliver(t)
 
     def notify_space(self) -> None:
         if self._space_event is not None and not self._space_event.triggered:
@@ -194,7 +201,7 @@ class EDFBatchSystem:
     def start(self) -> "EDFBatchSystem":
         for pair in self.pairs:
             producer = Producer(
-                self.env, pair.trace, pair.deliver, pair.stats,
+                self.env, pair.trace, pair.try_deliver, pair.stats,
                 f"{pair.owner}-producer",
             )
             self.env.process(producer.process(), name=f"{pair.owner}-producer")

@@ -18,16 +18,18 @@ Consumers are pinned to the given core; producers are external event
 sources (no consumer-core time) with faithful back-pressure. Response
 latency is measured from the item's *intended* production time, so
 producer blocking counts against the implementation that caused it.
+The circular and the counted buffer are both the one
+:class:`~repro.buffers.bounded.BoundedBuffer`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.buffers import BoundedBuffer, RingBuffer
+from repro.buffers import BoundedBuffer
 from repro.cpu.core import Core
 from repro.cpu.timers import TimerService
-from repro.impls.base import PairStats, PCConfig, Producer
+from repro.impls.base import PairStats, PCConfig, Producer, serve_batch
 from repro.sim.primitives import ConditionVariable, Mutex, Semaphore
 from repro.workloads.trace import Trace
 
@@ -50,6 +52,9 @@ class PCImplementation:
     #: stage's buffer so the baselines can run the same topologies as
     #: PBPL; None (the default) keeps the plain-pair behaviour.
     _forward = None
+    #: The event a consumer sleeping until its buffer fills waits on
+    #: (BP, PBP, SPBP); the delivery that fills the buffer fires it.
+    _full_event = None
 
     def __init__(
         self,
@@ -74,17 +79,46 @@ class PCImplementation:
         #: Items popped from the buffer but not yet fully processed —
         #: needed for conservation checks at an arbitrary cut-off time.
         self.in_flight = 0
-        self.buffer = self._make_buffer()
+        self.buffer = BoundedBuffer(self.config.buffer_size)
 
     # -- subclass hooks ------------------------------------------------------
-    def _make_buffer(self):
-        return RingBuffer(self.config.buffer_size)
-
     def _consumer(self):
         raise NotImplementedError
 
-    def _deliver(self, t: float):
-        raise NotImplementedError
+    def try_deliver(self, t: float):
+        """Place one item (its production time) for the consumer.
+
+        Returns None when the item went in without suspending the
+        producer, else the generator of the blocked path, which the
+        producer runs with ``yield from``: the same operations in the
+        same order as one delivery generator, without making one for the
+        deliveries that never block. This base form suits the batch
+        implementations: a full buffer back-pressures the producer, and
+        the push that fills the buffer fires ``_full_event``.
+        """
+        buffer = self.buffer
+        if buffer.is_full:
+            return self._deliver_blocked(t)
+        buffer.push(t)
+        full_event = self._full_event
+        if full_event is not None and buffer.is_full:
+            if not full_event.triggered:
+                full_event.succeed()
+            self._full_event = None
+        return None
+
+    def _deliver_blocked(self, t: float):
+        """Block the producer until the consumer frees buffer space,
+        then place the item."""
+        self.stats.overflows += 1
+        while self.buffer.is_full:
+            # One shared pending event for all blocked producers — a
+            # pipeline fan-in stage has several upstream forwarders,
+            # and overwriting would orphan every blocker but the last.
+            if self._space_event is None or self._space_event.triggered:
+                self._space_event = self.env.event()
+            yield self._space_event
+        self.try_deliver(t)
 
     # -- helpers ----------------------------------------------------------------
     @property
@@ -96,17 +130,6 @@ class PCImplementation:
         if self._space_event is not None and not self._space_event.triggered:
             self._space_event.succeed()
         self._space_event = None
-
-    def _wait_for_space(self):
-        """Block the producer until the consumer frees buffer space."""
-        self.stats.overflows += 1
-        while self.buffer.is_full:
-            # One shared pending event for all blocked producers — a
-            # pipeline fan-in stage has several upstream forwarders,
-            # and overwriting would orphan every blocker but the last.
-            if self._space_event is None or self._space_event.triggered:
-                self._space_event = self.env.event()
-            yield self._space_event
 
     def _record_consumed(self, produced_t: float) -> None:
         now = self.env.now
@@ -121,7 +144,8 @@ class PCImplementation:
     def start(self) -> "PCImplementation":
         """Spawn the producer and consumer processes."""
         producer = Producer(
-            self.env, self.trace, self._deliver, self.stats, f"{self.owner}-producer"
+            self.env, self.trace, self.try_deliver, self.stats,
+            f"{self.owner}-producer",
         )
         self.env.process(producer.process(), name=f"{self.owner}-producer")
         self.env.process(self._consumer(), name=self.owner)
@@ -142,13 +166,15 @@ class BusyWaiting(PCImplementation):
         super().__init__(*args, **kwargs)
         self._item_event = None
 
-    def _deliver(self, t: float):
-        if self.buffer.is_full:
-            yield from self._wait_for_space()
-        self.buffer.push(t)
+    def try_deliver(self, t: float):
+        buffer = self.buffer
+        if buffer.is_full:
+            return self._deliver_blocked(t)
+        buffer.push(t)
         if self._item_event is not None and not self._item_event.triggered:
             self._item_event.succeed()
             self._item_event = None
+        return None
 
     def _consumer(self):
         cfg = self.config
@@ -200,18 +226,25 @@ class MutexCondvar(PCImplementation):
         self.not_empty = ConditionVariable(self.env, self.mutex)
         self.not_full = ConditionVariable(self.env, self.mutex)
 
-    def _make_buffer(self):
-        return BoundedBuffer(self.config.buffer_size)
+    def try_deliver(self, t: float):
+        mutex = self.mutex
+        if not mutex.try_acquire():
+            return self._deliver_contended(t, locked=False)
+        if self.buffer.is_full:
+            return self._deliver_contended(t, locked=True)
+        self.buffer.push(t)
+        self.not_empty.notify()
+        mutex.release()
+        return None
 
-    def _deliver(self, t: float):
-        if not self.mutex.try_acquire():
+    def _deliver_contended(self, t: float, locked: bool):
+        """Wait for the lock (unless ``locked``), then for space."""
+        if not locked:
             yield self.mutex.acquire()
-        first = True
-        while self.buffer.is_full:
-            if first:
-                self.stats.overflows += 1
-                first = False
-            yield from self.not_full.wait()
+        if self.buffer.is_full:
+            self.stats.overflows += 1
+            while self.buffer.is_full:
+                yield from self.not_full.wait()
         self.buffer.push(t)
         self.not_empty.notify()
         self.mutex.release()
@@ -252,10 +285,16 @@ class SemaphorePair(PCImplementation):
         self.empty = Semaphore(self.env, self.config.buffer_size)
         self.full = Semaphore(self.env, 0)
 
-    def _deliver(self, t: float):
+    def try_deliver(self, t: float):
         if not self.empty.try_acquire():
-            self.stats.overflows += 1
-            yield self.empty.acquire()
+            return self._deliver_blocked(t)
+        self.buffer.push(t)
+        self.full.release()
+        return None
+
+    def _deliver_blocked(self, t: float):
+        self.stats.overflows += 1
+        yield self.empty.acquire()
         self.buffer.push(t)
         self.full.release()
 
@@ -289,19 +328,6 @@ class BatchProcessing(PCImplementation):
 
     name = "BP"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._full_event = None
-
-    def _deliver(self, t: float):
-        if self.buffer.is_full:
-            yield from self._wait_for_space()
-        self.buffer.push(t)
-        if self.buffer.is_full and self._full_event is not None:
-            if not self._full_event.triggered:
-                self._full_event.succeed()
-            self._full_event = None
-
     def _consumer(self):
         while True:
             slept = False
@@ -316,10 +342,7 @@ class BatchProcessing(PCImplementation):
             batch = self.buffer.drain()
             self.in_flight = len(batch)
             self._notify_space()
-            for t in batch:
-                yield from hold.busy(self.service_s)
-                self._record_consumed(t)
-                self.in_flight -= 1
+            yield from serve_batch(self, hold.core, batch)
             hold.release()
             if self._forward is not None and batch:
                 yield from self._forward(batch)
@@ -339,10 +362,6 @@ class _PeriodicBatchBase(PCImplementation):
     wake, while the accurate timer drains right on time.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._overflow_event = None
-
     def _lateness(self) -> float:
         """How far past the grid boundary this impl's timer fires."""
         raise NotImplementedError
@@ -352,15 +371,6 @@ class _PeriodicBatchBase(PCImplementation):
         k = int(self.env.now / period) + 1
         boundary = k * period
         return self.env.timeout(boundary - self.env.now + self._lateness())
-
-    def _deliver(self, t: float):
-        if self.buffer.is_full:
-            yield from self._wait_for_space()
-        self.buffer.push(t)
-        if self.buffer.is_full and self._overflow_event is not None:
-            if not self._overflow_event.triggered:
-                self._overflow_event.succeed()
-            self._overflow_event = None
 
     def _consumer(self):
         while True:
@@ -377,9 +387,9 @@ class _PeriodicBatchBase(PCImplementation):
                     forced = True
                 else:
                     overflow = self.env.event()
-                    self._overflow_event = overflow
+                    self._full_event = overflow
                     yield self.env.any_of([tick, overflow])
-                    self._overflow_event = None
+                    self._full_event = None
                     # A Timeout is "triggered" from construction (its value
                     # is pre-set); "processed" is the fired-by-now test.
                     forced = not tick.processed
@@ -394,10 +404,7 @@ class _PeriodicBatchBase(PCImplementation):
                 batch = self.buffer.drain()
                 self.in_flight = len(batch)
                 self._notify_space()
-                for t in batch:
-                    yield from hold.busy(self.service_s)
-                    self._record_consumed(t)
-                    self.in_flight -= 1
+                yield from serve_batch(self, hold.core, batch)
                 hold.release()
                 if self._forward is not None and batch:
                     yield from self._forward(batch)

@@ -36,17 +36,19 @@ _SPINNERS = ("BW", "Yield")
 
 
 def _make_forward(src: PCImplementation, dests: List[PCImplementation]):
-    """Forward a drained batch into every downstream stage's deliver."""
+    """Forward a drained batch into every downstream stage's delivery."""
 
     def forward(batch):
         stalls = 0
         for dest in dests:
-            deliver = dest._deliver
+            try_deliver = dest.try_deliver
             dstats = dest.stats
             for t in batch:
                 if dest.buffer.is_full:
                     stalls += 1
-                yield from deliver(t)
+                blocked = try_deliver(t)
+                if blocked is not None:
+                    yield from blocked
                 dstats.produced += 1
         if stalls:
             src.backpressure_stalls += stalls
@@ -162,7 +164,7 @@ class BaselinePipelineSystem(MultiPairSystem):
             for dest in dests:
                 name = f"{dest.owner}-producer"
                 producer = Producer(
-                    self.env, trace, dest._deliver, dest.stats, name
+                    self.env, trace, dest.try_deliver, dest.stats, name
                 )
                 self.env.process(producer.process(), name=name)
         return self

@@ -112,6 +112,8 @@ class StageConsumer(LatchingConsumer):
 
     # -- per-item cost -----------------------------------------------------------
     def _item_cost_s(self, t: float) -> float:
+        """Per-item service cost with the stage's deterministic spread
+        (the hook :func:`~repro.impls.base.serve_batch` calls)."""
         return per_item_cost_s(
             self.config.service_time_s * self.service_scale,
             self.stage.cost_spread,
@@ -133,14 +135,14 @@ class StageConsumer(LatchingConsumer):
         for dest in self.downstreams:
             accept = dest._accept_forward
             dstats = dest.stats
-            dest_metrics = dest.metrics
+            metrics_on = dest.metrics.enabled
             dm_produced = dest._m_produced
             for t in batch:
                 if dest.buffer.is_full:
                     stalls += 1
                 yield from accept(t)
                 dstats.produced += 1
-                if dest_metrics:
+                if metrics_on:
                     dm_produced.inc()
         if stalls:
             self.backpressure_stalls += stalls

@@ -205,7 +205,7 @@ class PipelineSystem(PBPLSystem):
             for dest in dests:
                 name = f"{dest.owner}-producer"
                 producer = Producer(
-                    self.env, trace, dest.deliver, dest.stats, name
+                    self.env, trace, dest.try_deliver, dest.stats, name
                 )
                 self.env.process(producer.process(), name=name)
         return self

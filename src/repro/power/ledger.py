@@ -121,23 +121,25 @@ class EnergyLedger(CoreListener):
         self._omega = model.wakeup_energy_j
         self._per_core: Dict[int, EnergyBreakdown] = {}
         self._open: Dict[int, _Open] = {}
-        # P-/C-state object → price. The state tables are small and
-        # fixed, so each distinct situation is priced once and a segment
-        # reopen is one dict hit.
-        self._prices: Dict[object, _Price] = {}
+        # id() of a P-/C-state object → price. The state tables are
+        # small and fixed for the machine's life, so each distinct
+        # situation is priced once and a segment reopen is one dict hit.
+        # Keyed by identity: hashing the frozen-dataclass states would
+        # cost a Python __hash__ call on every core transition.
+        self._prices: Dict[int, _Price] = {}
         self._sinks: List[LedgerSink] = []
 
     def _price(self, core: Core) -> _Price:
         active = core.state == "active"
         state = core.pstate if active else core.cstate
-        price = self._prices.get(state)
+        price = self._prices.get(id(state))
         if price is None:
             if active:
                 price = (self.model.active_power_w(state), "active", True)
             else:
                 assert state is not None
                 price = (self.model.idle_power_w(state), state.name, False)
-            self._prices[state] = price
+            self._prices[id(state)] = price
         return price
 
     def _accrue(
@@ -189,7 +191,7 @@ class EnergyLedger(CoreListener):
             residency = breakdown.residency_s
             residency[label] = residency.get(label, 0.0) + dt
         try:
-            price = self._prices[pstate if new_state == "active" else cstate]
+            price = self._prices[id(pstate if new_state == "active" else cstate)]
         except KeyError:
             price = self._price(core)
         new_power, new_label, new_active = price

@@ -81,6 +81,8 @@ class Environment:
         self._stop_at = float("-inf")
         #: Callbacks of the event ``run`` is dispatching.
         self._dispatching: list = [None]
+        #: Every process started on this environment, for :meth:`close`.
+        self._processes: list = []
 
     # -- clock & introspection ------------------------------------------
     @property
@@ -284,6 +286,26 @@ class Environment:
     def _stop_callback(event: Event) -> None:
         event._defused = True
         raise _StopSimulation(event)
+
+    def close(self) -> None:
+        """End the simulation for good and let go of everything in it.
+
+        A finished run is a web of reference cycles: pending events hold
+        their waiters' resume callbacks, each process holds its own
+        bound ``_resume``, and a suspended generator's frame holds the
+        objects that hold its process. Left alone, the whole run waits
+        for the cyclic collector. Closing every process generator and
+        dropping the queue breaks those cycles, so the run is freed by
+        reference counting once its last outside reference goes.
+        Nothing is left to run afterwards.
+        """
+        processes, self._processes = self._processes, []
+        for process in processes:
+            process._generator.close()
+            process._target = None
+            process._resume_cb = None
+        self._queue.clear()
+        self._dispatching = [None]
 
     def __repr__(self) -> str:
         return f"<Environment now={self.now} queued={len(self)}>"

@@ -223,6 +223,7 @@ class Process(Event):
         #: ``_resume`` bound once: every yield subscribes this one
         #: object, and an interrupt removes it from the old target.
         self._resume_cb = self._resume
+        env._processes.append(self)
         Initialize(env, self)
 
     @property
@@ -321,7 +322,7 @@ class Condition(Event):
     any child fails.
     """
 
-    __slots__ = ("_events", "_evaluate", "_fired")
+    __slots__ = ("_total", "_evaluate", "_fired")
 
     def __init__(
         self,
@@ -330,19 +331,23 @@ class Condition(Event):
         evaluate: Callable[[int, int], bool],
     ) -> None:
         super().__init__(env)
-        self._events = list(events)
+        events = list(events)
+        # Only the count is kept: a pending child holds this condition
+        # in its callbacks, so holding the children back would make a
+        # reference cycle of every condition with a child left pending.
+        self._total = len(events)
         self._evaluate = evaluate
         #: Children that have actually been processed, in firing order.
         #: (A pending Timeout already *carries* its value, so "triggered"
         #: alone cannot distinguish fired from merely scheduled.)
         self._fired: list[Event] = []
-        for event in self._events:
+        for event in events:
             if event.env is not env:
                 raise SimulationError("condition mixes environments")
-        if not self._events and evaluate(0, 0):
+        if not events and evaluate(0, 0):
             self.succeed({})
             return
-        for event in self._events:
+        for event in events:
             if event.callbacks is None:
                 self._check(event)
             else:
@@ -359,7 +364,7 @@ class Condition(Event):
             self.fail(event._exc)
             return
         self._fired.append(event)
-        if self._evaluate(len(self._events), len(self._fired)):
+        if self._evaluate(self._total, len(self._fired)):
             self.succeed({ev: ev._value for ev in self._fired})
 
 

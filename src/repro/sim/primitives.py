@@ -139,7 +139,7 @@ class Mutex:
 
     def acquire(self) -> Event:
         """Return an event that triggers once the lock is held."""
-        caller = self.env.active_process
+        caller = self.env._active_process
         event = self.env.event()
         if self.try_acquire():
             event.succeed()
@@ -157,13 +157,13 @@ class Mutex:
         the caller already holds it.
         """
         if self._owner is None and not self._waiters:
-            self._owner = self.env.active_process
+            self._owner = self.env._active_process
             return True
         return False
 
     def release(self) -> None:
         """Unlock; hands the lock to the oldest waiter if any."""
-        caller = self.env.active_process
+        caller = self.env._active_process
         if self._owner is None:
             raise SimulationError("release of an unlocked mutex")
         if caller is not None and self._owner is not caller:
@@ -215,7 +215,7 @@ class ConditionVariable:
 
     def wait(self) -> Generator[Event, None, None]:
         """Sub-generator implementing wait; use as ``yield from cv.wait()``."""
-        caller = self.env.active_process
+        caller = self.env._active_process
         if self.mutex.owner is not caller or caller is None:
             raise SimulationError("wait() requires holding the mutex")
         signal = self.env.event()

@@ -82,3 +82,37 @@ def test_chaos_sanitize_fails_when_the_sanitized_run_scores_differently(
     err = capsys.readouterr().err
     assert code == skew
     assert ("scored differently" in err) == bool(skew)
+
+
+@pytest.mark.parametrize("skewed_impl", [None, "Sem"])
+def test_chaos_sanitize_baselines_sanitizes_each_baseline(
+    skewed_impl, monkeypatch, capsys
+):
+    """``--sanitize --baselines`` runs every baseline under the
+    sanitizer too, and fails when one scores differently from its plain
+    run."""
+    from repro.analysis import sanitizer
+    from repro.cli import main
+    from repro.faults.chaos import BASELINE_IMPLS
+
+    real = sanitizer.sanitize_scenario
+    seen = []
+
+    def spy(*args, impl="PBPL", **kwargs):
+        seen.append(impl)
+        report = real(*args, impl=impl, **kwargs)
+        if impl == skewed_impl:
+            report.scored.consumed += 1
+        return report
+
+    monkeypatch.setattr(sanitizer, "sanitize_scenario", spy)
+    code = main(
+        ["chaos", "--scenarios", "clean", "--duration", "0.3",
+         "--consumers", "2", "--sanitize", "--baselines", "--json"]
+    )
+    err = capsys.readouterr().err
+    assert seen == ["PBPL", *BASELINE_IMPLS]
+    for impl in BASELINE_IMPLS:
+        assert f"sanitize: clean × {impl}: clean" in err
+    assert code == (skewed_impl is not None)
+    assert ("clean × Sem: scored differently" in err) == (skewed_impl == "Sem")

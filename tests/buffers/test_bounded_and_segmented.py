@@ -1,4 +1,6 @@
-"""Unit tests for BoundedBuffer and SegmentedBuffer."""
+"""Unit tests for the bounded FIFO in its two other roles: Mutex's
+counted non-circular buffer (§III-A) and PBPL's elastic walls (§V-C),
+whose capacity the global pool moves in place."""
 
 import pytest
 
@@ -6,20 +8,20 @@ from repro.buffers import (
     BoundedBuffer,
     BufferOverflow,
     BufferUnderflow,
-    SegmentedBuffer,
+    GlobalBufferPool,
 )
 
 
-# -- BoundedBuffer ----------------------------------------------------------
+# -- the counted buffer (Mutex) ------------------------------------------------
 
 
 def test_bounded_fifo_and_count():
     buf = BoundedBuffer(3)
     buf.push(1)
     buf.push(2)
-    assert buf.count == 2
+    assert len(buf) == 2
     assert buf.pop() == 1
-    assert buf.count == 1
+    assert len(buf) == 1
 
 
 def test_bounded_overflow_and_underflow():
@@ -39,13 +41,14 @@ def test_bounded_drain_and_iter():
     assert list(buf) == [0, 1, 2, 3]
     assert buf.drain(3) == [0, 1, 2]
     assert buf.drain() == [3]
+    assert buf.pops == 4
 
 
 def test_bounded_peek():
     buf = BoundedBuffer(2)
     buf.push("x")
     assert buf.peek() == "x"
-    assert buf.count == 1
+    assert len(buf) == 1
 
 
 def test_bounded_invalid_capacity():
@@ -53,18 +56,19 @@ def test_bounded_invalid_capacity():
         BoundedBuffer(0)
 
 
-# -- SegmentedBuffer -------------------------------------------------------------
+# -- the elastic walls (PBPL) ----------------------------------------------------
 
 
 def test_segmented_fifo_across_segment_boundaries():
-    buf = SegmentedBuffer(100, segment_size=4)
-    for i in range(50):
+    # 200 items cross several of the deque's fixed-size blocks.
+    buf = BoundedBuffer(200)
+    for i in range(200):
         buf.push(i)
-    assert [buf.pop() for _ in range(50)] == list(range(50))
+    assert [buf.pop() for _ in range(200)] == list(range(200))
 
 
 def test_segmented_overflow_at_capacity():
-    buf = SegmentedBuffer(2)
+    buf = BoundedBuffer(2)
     buf.push(1)
     buf.push(2)
     with pytest.raises(BufferOverflow):
@@ -73,23 +77,23 @@ def test_segmented_overflow_at_capacity():
 
 
 def test_segmented_grow_admits_more():
-    buf = SegmentedBuffer(2)
+    buf = BoundedBuffer(2)
     buf.push(1)
     buf.push(2)
-    assert buf.grow(2) == 4
+    assert buf.set_capacity(4) == 4
     buf.push(3)
     buf.push(4)
     assert buf.is_full
 
 
 def test_segmented_shrink_releases_capacity():
-    buf = SegmentedBuffer(10)
-    assert buf.shrink(4) == 6
+    buf = BoundedBuffer(10)
+    assert buf.set_capacity(6) == 6
     assert buf.capacity == 6
 
 
 def test_segmented_shrink_clamps_to_occupancy():
-    buf = SegmentedBuffer(10)
+    buf = BoundedBuffer(10)
     for i in range(7):
         buf.push(i)
     assert buf.set_capacity(3) == 7  # cannot discard buffered items
@@ -97,19 +101,14 @@ def test_segmented_shrink_clamps_to_occupancy():
 
 
 def test_segmented_shrink_floor_is_one():
-    buf = SegmentedBuffer(5)
-    assert buf.shrink(100) == 1
-
-
-def test_segmented_resize_events_recorded():
-    buf = SegmentedBuffer(10)
-    buf.grow(5)
-    buf.shrink(3)
-    assert buf.resize_events == [(10, 15), (15, 12)]
+    pool = GlobalBufferPool(base_allocation=5, n_consumers=1)
+    pool.register("c")
+    assert pool.downsize("c", -100) == 1
+    assert pool.buffer("c").capacity == 1
 
 
 def test_segmented_interleaved_push_pop_resize():
-    buf = SegmentedBuffer(4, segment_size=2)
+    buf = BoundedBuffer(4)
     buf.push("a")
     buf.push("b")
     assert buf.pop() == "a"
@@ -122,15 +121,17 @@ def test_segmented_interleaved_push_pop_resize():
 
 
 def test_segmented_drain_limit():
-    buf = SegmentedBuffer(10)
+    buf = BoundedBuffer(10)
     for i in range(6):
         buf.push(i)
     assert buf.drain(4) == [0, 1, 2, 3]
     assert len(buf) == 2
+    assert buf.drain(0) == []
+    assert buf.pops == 4
 
 
 def test_segmented_peek_and_iter():
-    buf = SegmentedBuffer(10, segment_size=2)
+    buf = BoundedBuffer(10)
     for i in range(5):
         buf.push(i)
     buf.pop()
@@ -141,21 +142,16 @@ def test_segmented_peek_and_iter():
 
 def test_segmented_validation():
     with pytest.raises(ValueError):
-        SegmentedBuffer(0)
-    with pytest.raises(ValueError):
-        SegmentedBuffer(5, segment_size=0)
-    buf = SegmentedBuffer(5)
+        BoundedBuffer(0)
+    buf = BoundedBuffer(5)
     with pytest.raises(ValueError):
         buf.set_capacity(0)
-    with pytest.raises(ValueError):
-        buf.grow(-1)
-    with pytest.raises(ValueError):
-        buf.shrink(-1)
+    assert buf.capacity == 5
 
 
 def test_segmented_memory_reclaim_keeps_length_consistent():
-    """The amortised segment recycling must not corrupt indexing."""
-    buf = SegmentedBuffer(1000, segment_size=3)
+    """Blocks freed as the head advances must not corrupt the order."""
+    buf = BoundedBuffer(1000)
     expected = []
     for i in range(300):
         buf.push(i)

@@ -1,16 +1,14 @@
-"""Property-based tests: all buffers behave as bounded FIFOs; the pool
-never over-commits."""
+"""Property-based tests: the bounded FIFO behaves as one, whether built
+directly or handed out and resized by the pool; the pool never
+over-commits."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.buffers import (
-    BoundedBuffer,
-    GlobalBufferPool,
-    RingBuffer,
-    SegmentedBuffer,
-)
+import pytest
+
+from repro.buffers import BoundedBuffer, BufferOverflow, GlobalBufferPool
 
 # Op streams: True = push (with a counter value), False = pop.
 ops_strategy = st.lists(st.booleans(), max_size=200)
@@ -41,7 +39,26 @@ def run_fifo_model(buf, ops):
 @given(capacity=st.integers(1, 20), ops=ops_strategy)
 @settings(max_examples=200, deadline=None)
 def test_ring_buffer_matches_fifo_model(capacity, ops):
-    run_fifo_model(RingBuffer(capacity), ops)
+    # The circular-buffer role (§III-A): a full buffer refuses by raising,
+    # and the operation counters track the model exactly.
+    buf = BoundedBuffer(capacity)
+    model = []
+    pushes = pops = overflows = 0
+    for value, is_push in enumerate(ops):
+        if is_push:
+            if len(model) < capacity:
+                buf.push(value)
+                model.append(value)
+                pushes += 1
+            else:
+                with pytest.raises(BufferOverflow):
+                    buf.push(value)
+                overflows += 1
+        elif model:
+            assert buf.pop() == model.pop(0)
+            pops += 1
+        assert list(buf) == model
+    assert (buf.pushes, buf.pops, buf.overflows) == (pushes, pops, overflows)
 
 
 @given(capacity=st.integers(1, 20), ops=ops_strategy)
@@ -52,22 +69,25 @@ def test_bounded_buffer_matches_fifo_model(capacity, ops):
 
 @given(
     capacity=st.integers(1, 20),
-    segment=st.integers(1, 7),
+    base=st.integers(1, 20),
     ops=ops_strategy,
 )
 @settings(max_examples=200, deadline=None)
-def test_segmented_buffer_matches_fifo_model(capacity, segment, ops):
-    run_fifo_model(SegmentedBuffer(capacity, segment_size=segment), ops)
+def test_segmented_buffer_matches_fifo_model(capacity, base, ops):
+    # A pool buffer whose wall the pool already moved once.
+    pool = GlobalBufferPool(base, 1)
+    buf = pool.register("c")
+    buf.set_capacity(capacity)
+    run_fifo_model(buf, ops)
 
 
 @given(
     capacity=st.integers(2, 30),
-    segment=st.integers(1, 5),
     data=st.data(),
 )
 @settings(max_examples=100, deadline=None)
-def test_segmented_buffer_fifo_survives_resizing(capacity, segment, data):
-    buf = SegmentedBuffer(capacity, segment_size=segment)
+def test_segmented_buffer_fifo_survives_resizing(capacity, data):
+    buf = BoundedBuffer(capacity)
     model = []
     next_val = 0
     for _ in range(data.draw(st.integers(0, 80))):
@@ -79,9 +99,9 @@ def test_segmented_buffer_fifo_survives_resizing(capacity, segment, data):
         elif action == "pop" and model:
             assert buf.pop() == model.pop(0)
         elif action == "grow":
-            buf.grow(data.draw(st.integers(0, 10)))
+            buf.set_capacity(buf.capacity + data.draw(st.integers(0, 10)))
         elif action == "shrink":
-            buf.shrink(data.draw(st.integers(0, 10)))
+            buf.set_capacity(max(1, buf.capacity - data.draw(st.integers(0, 10))))
         assert buf.capacity >= max(1, len(model))
         assert len(buf) == len(model)
     assert buf.drain() == model

@@ -1,21 +1,21 @@
-"""Unit tests for the circular buffer."""
+"""Unit tests for the bounded FIFO in its §III-A role: the circular
+buffer BW, Yield, Sem, BP, PBP and SPBP share."""
 
 import pytest
 
-from repro.buffers import BufferOverflow, BufferUnderflow, RingBuffer
+from repro.buffers import BoundedBuffer, BufferOverflow, BufferUnderflow
 
 
 def test_new_buffer_is_empty():
-    buf = RingBuffer(4)
+    buf = BoundedBuffer(4)
     assert buf.is_empty
     assert not buf.is_full
     assert len(buf) == 0
     assert buf.capacity == 4
-    assert buf.free == 4
 
 
 def test_push_pop_fifo():
-    buf = RingBuffer(3)
+    buf = BoundedBuffer(3)
     buf.push("a")
     buf.push("b")
     buf.push("c")
@@ -23,7 +23,7 @@ def test_push_pop_fifo():
 
 
 def test_push_full_raises_and_counts_overflow():
-    buf = RingBuffer(2)
+    buf = BoundedBuffer(2)
     buf.push(1)
     buf.push(2)
     with pytest.raises(BufferOverflow):
@@ -32,7 +32,7 @@ def test_push_full_raises_and_counts_overflow():
 
 
 def test_try_push_returns_false_when_full():
-    buf = RingBuffer(1)
+    buf = BoundedBuffer(1)
     assert buf.try_push(1)
     assert not buf.try_push(2)
     assert buf.overflows == 1
@@ -40,11 +40,11 @@ def test_try_push_returns_false_when_full():
 
 def test_pop_empty_raises():
     with pytest.raises(BufferUnderflow):
-        RingBuffer(1).pop()
+        BoundedBuffer(1).pop()
 
 
 def test_peek_does_not_consume():
-    buf = RingBuffer(2)
+    buf = BoundedBuffer(2)
     buf.push("x")
     assert buf.peek() == "x"
     assert len(buf) == 1
@@ -53,11 +53,11 @@ def test_peek_does_not_consume():
 
 def test_peek_empty_raises():
     with pytest.raises(BufferUnderflow):
-        RingBuffer(1).peek()
+        BoundedBuffer(1).peek()
 
 
 def test_wraparound_preserves_order():
-    buf = RingBuffer(3)
+    buf = BoundedBuffer(3)
     for i in range(3):
         buf.push(i)
     assert buf.pop() == 0
@@ -66,7 +66,7 @@ def test_wraparound_preserves_order():
 
 
 def test_capacity_n_holds_n_items():
-    buf = RingBuffer(5)
+    buf = BoundedBuffer(5)
     for i in range(5):
         buf.push(i)
     assert buf.is_full
@@ -74,7 +74,7 @@ def test_capacity_n_holds_n_items():
 
 
 def test_drain_all():
-    buf = RingBuffer(4)
+    buf = BoundedBuffer(4)
     for i in range(4):
         buf.push(i)
     assert buf.drain() == [0, 1, 2, 3]
@@ -82,7 +82,7 @@ def test_drain_all():
 
 
 def test_drain_with_limit():
-    buf = RingBuffer(4)
+    buf = BoundedBuffer(4)
     for i in range(4):
         buf.push(i)
     assert buf.drain(2) == [0, 1]
@@ -90,7 +90,7 @@ def test_drain_with_limit():
 
 
 def test_iteration_oldest_to_newest_nonconsuming():
-    buf = RingBuffer(4)
+    buf = BoundedBuffer(4)
     for i in range(3):
         buf.push(i)
     buf.pop()
@@ -100,7 +100,7 @@ def test_iteration_oldest_to_newest_nonconsuming():
 
 
 def test_operation_counters():
-    buf = RingBuffer(2)
+    buf = BoundedBuffer(2)
     buf.push(1)
     buf.push(2)
     buf.pop()
@@ -113,4 +113,4 @@ def test_operation_counters():
 
 def test_invalid_capacity():
     with pytest.raises(ValueError):
-        RingBuffer(0)
+        BoundedBuffer(0)

@@ -108,8 +108,8 @@ def make_live_system(env):
     pool = GlobalBufferPool(base_allocation=10, n_consumers=2)
     # A shrunken buffer returns slots to the pool — those free slots are
     # what a contention fault steals.
-    pool.register("consumer-0", segment_size=4).set_capacity(4)
-    pool.register("consumer-1", segment_size=4)
+    pool.register("consumer-0").set_capacity(4)
+    pool.register("consumer-1")
     return SimpleNamespace(machine=machine, consumers=consumers, pool=pool)
 
 

@@ -165,3 +165,43 @@ def _recorded_run_buffer_0(params):
 def test_buffer_of_zero_is_rejected_not_defaulted(params, build):
     with pytest.raises(ValueError, match="buffer size must be >= 1"):
         build(params)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p: run_multi("Mutex", 5, p),
+        lambda p: run_multi("BP", 5, p),
+        lambda p: run_multi("PBPL", 5, p),
+        lambda p: run_single_pair("Sem", p),
+    ],
+    ids=["Mutex", "BP", "PBPL", "single-Sem"],
+)
+def test_finished_run_is_freed_without_the_collector(run, monkeypatch):
+    """A run's object graph goes by reference counting when the call
+    returns, not whenever the cyclic collector next runs."""
+    import gc
+    import weakref
+
+    from repro.harness import runner
+    from repro.sim import Environment
+
+    envs = []
+
+    class Tracked(Environment):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            envs.append(weakref.ref(self))
+
+    monkeypatch.setattr(runner, "Environment", Tracked)
+    monkeypatch.setattr(runner, "_BASELINE_CACHE", {})
+    gc.collect()
+    gc.disable()
+    try:
+        metrics = run(StandardParams(duration_s=0.3, seed=2014))
+        alive = [ref for ref in envs if ref() is not None]
+    finally:
+        gc.enable()
+    assert metrics.consumed > 0
+    assert len(envs) == 2  # the run and its idle baseline
+    assert alive == []

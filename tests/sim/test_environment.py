@@ -175,3 +175,40 @@ def test_clock_is_monotonic_across_many_processes():
         env.process(proc(env, delay))
     env.run()
     assert stamps == sorted(stamps)
+
+
+def test_close_frees_suspended_processes_without_the_collector():
+    import gc
+    import weakref
+
+    env = Environment()
+
+    class Waiter:
+        def __init__(self):
+            self.wake = env.event()
+            self.other = env.event()
+
+        def run(self):
+            # A pending any_of and a suspended frame holding self: both
+            # used to be cycles only the collector could free.
+            yield env.any_of([self.wake, self.other])
+
+    waiter = Waiter()
+    env.process(waiter.run())
+
+    def sleeper():
+        yield env.timeout(10.0)
+
+    env.process(sleeper())
+    env.run(until=1.0)
+    refs = [weakref.ref(env), weakref.ref(waiter)]
+    del waiter
+    gc.collect()
+    gc.disable()
+    try:
+        env.close()
+        del env
+        alive = [ref for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    assert alive == []

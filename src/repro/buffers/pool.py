@@ -51,28 +51,6 @@ class GlobalBufferPool:
         self.n_consumers = n_consumers
         self.total_slots = base_allocation * n_consumers
         self._buffers: Dict[str, BoundedBuffer] = {}
-        #: Aggregated telemetry (falsy NULL_REGISTRY when metrics off).
-        self.metrics = metrics or NULL_REGISTRY
-        self._m_upsize_req = self.metrics.counter(
-            "pool_upsize_requests_total",
-            help="Upsize requests consumers made to the global pool.",
-        )
-        self._m_upsize_grant = self.metrics.counter(
-            "pool_upsize_grants_total",
-            help="Upsize requests the pool granted (fully or partially).",
-        )
-        self._m_lent = self.metrics.counter(
-            "pool_slots_lent_total",
-            help="Lifetime slots lent beyond base entitlements.",
-        )
-        self._m_contention = self.metrics.counter(
-            "pool_contention_events_total",
-            help="Forced-contention withholds by fault injectors.",
-        )
-        self._m_migrations = self.metrics.counter(
-            "pool_migrations_total",
-            help="Buffers carried across core migrations.",
-        )
         #: Lifetime grants / denials, for the evaluation metrics.
         self.upsize_requests = 0
         self.upsize_grants = 0
@@ -84,6 +62,33 @@ class GlobalBufferPool:
         #: Buffers carried across a core migration (see
         #: :meth:`note_migration`).
         self.migrations = 0
+        # Telemetry views of the counts above, read at each snapshot.
+        metrics = metrics or NULL_REGISTRY
+        metrics.counter(
+            "pool_upsize_requests_total",
+            help="Upsize requests consumers made to the global pool.",
+            read=lambda: self.upsize_requests,
+        )
+        metrics.counter(
+            "pool_upsize_grants_total",
+            help="Upsize requests the pool granted (fully or partially).",
+            read=lambda: self.upsize_grants,
+        )
+        metrics.counter(
+            "pool_slots_lent_total",
+            help="Lifetime slots lent beyond base entitlements.",
+            read=lambda: self.slots_lent,
+        )
+        metrics.counter(
+            "pool_contention_events_total",
+            help="Forced-contention withholds by fault injectors.",
+            read=lambda: self.contention_events,
+        )
+        metrics.counter(
+            "pool_migrations_total",
+            help="Buffers carried across core migrations.",
+            read=lambda: self.migrations,
+        )
 
     # -- registration ------------------------------------------------------
     def register(
@@ -130,8 +135,6 @@ class GlobalBufferPool:
                 f"consumer {consumer_id!r} is not registered with the pool"
             )
         self.migrations += 1
-        if self.metrics:
-            self._m_migrations.inc()
         return len(buffer)
 
     # -- accounting -------------------------------------------------------------
@@ -174,8 +177,6 @@ class GlobalBufferPool:
         """
         buffer = self._buffers[consumer_id]
         self.upsize_requests += 1
-        if self.metrics:
-            self._m_upsize_req.inc()
         if desired_capacity <= buffer.capacity:
             return buffer.capacity
         extra_wanted = desired_capacity - buffer.capacity
@@ -184,9 +185,6 @@ class GlobalBufferPool:
             return buffer.capacity
         self.upsize_grants += 1
         self.slots_lent += extra_granted
-        if self.metrics:
-            self._m_upsize_grant.inc()
-            self._m_lent.inc(extra_granted)
         return buffer.set_capacity(buffer.capacity + extra_granted)
 
     def withhold(self, slots: int) -> int:
@@ -205,8 +203,6 @@ class GlobalBufferPool:
             self.total_slots -= taken
             self.slots_withheld += taken
             self.contention_events += 1
-            if self.metrics:
-                self._m_contention.inc()
         return taken
 
     def restore(self, slots: int) -> None:

@@ -817,35 +817,24 @@ def _metrics_record(args: argparse.Namespace, profiler=None):
 
 
 def _reconcile_run(run, snapshot) -> List:
-    """Every reconciliation check the run's impl supports.
-
-    PBPL threads instruments through the whole system, so its counters
-    are held to RunMetrics totals; baselines only carry the power
-    collector, so they are held to the ledger and core-wakeup truth.
-    """
+    """The registry's live folds held to the run's ground truth: joules
+    to the power ledger, core wakeups to the consumer core's own count.
+    (Every other series is a view of a model count, equal by
+    construction.)"""
     from repro.harness.runner import CONSUMER_CORE
-    from repro.telemetry import (
-        reconcile_core_wakeups,
-        reconcile_counters,
-        reconcile_energy,
-    )
+    from repro.telemetry import reconcile_core_wakeups, reconcile_energy
 
-    checks = []
-    if run.impl == "PBPL":
-        checks.extend(reconcile_counters(snapshot, run.stats))
-    checks.extend(reconcile_energy(snapshot, run.ledger_total_j))
-    checks.extend(
-        reconcile_core_wakeups(snapshot, CONSUMER_CORE, run.consumer_core_wakeups)
+    return reconcile_energy(snapshot, run.ledger_total_j) + reconcile_core_wakeups(
+        snapshot, CONSUMER_CORE, run.consumer_core_wakeups
     )
-    return checks
 
 
 def cmd_metrics_snapshot(args: argparse.Namespace) -> int:
     """Run one impl × scenario with the registry attached, export the
-    snapshot (OpenMetrics text, or byte-stable JSONL with ``--jsonl``),
-    and reconcile it against the run's ground truth — exit 1 when any
-    counter disagrees with RunMetrics or energy drifts off the ledger."""
-    from repro.telemetry import render_checks, snapshot_to_jsonl, to_openmetrics
+    snapshot as OpenMetrics text, and reconcile it against the run's
+    ground truth — exit 1 when energy drifts off the ledger or core
+    wakeups off the core's own count."""
+    from repro.telemetry import render_checks, to_openmetrics
 
     to_stdout = str(args.output) == "-"
     if not to_stdout:
@@ -856,9 +845,7 @@ def cmd_metrics_snapshot(args: argparse.Namespace) -> int:
     info = sys.stderr if to_stdout else sys.stdout
     run, registry = _metrics_record(args)
     snapshot = registry.snapshot()
-    payload = (
-        snapshot_to_jsonl(snapshot) if args.jsonl else to_openmetrics(snapshot)
-    )
+    payload = to_openmetrics(snapshot)
     if to_stdout:
         sys.stdout.write(payload)
     else:
@@ -885,8 +872,6 @@ def cmd_metrics_diff(args: argparse.Namespace) -> int:
     """Compare two OpenMetrics snapshots sample-by-sample; exit 1 on
     drift above the thresholds (the CI metrics gate), 2 on unreadable
     input."""
-    import json as json_mod
-
     from repro.telemetry import MetricsParseError, diff_openmetrics
 
     texts = []
@@ -906,11 +891,8 @@ def cmd_metrics_diff(args: argparse.Namespace) -> int:
     except MetricsParseError as exc:
         print(f"metrics diff: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json_mod.dumps(diff.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(diff.render())
-    if diff.drifted and not args.json:
+    print(diff.render())
+    if diff.drifted:
         print(
             "metrics diff: drift detected — if intentional, re-bless the "
             "golden (`repro metrics bless`) and commit it",
@@ -1321,11 +1303,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=Path("metrics.prom"),
         help="output path ('-' = stdout; default metrics.prom)",
     )
-    p.add_argument(
-        "--jsonl",
-        action="store_true",
-        help="emit the byte-stable JSONL encoding instead of OpenMetrics",
-    )
     p.set_defaults(func=cmd_metrics_snapshot)
 
     p = msub.add_parser(
@@ -1346,9 +1323,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help="absolute drift tolerance per sample (default 0)",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="emit the diff as JSON"
     )
     p.set_defaults(func=cmd_metrics_diff)
 

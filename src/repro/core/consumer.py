@@ -51,11 +51,11 @@ class LatchingConsumer:
     """One PBPL producer-consumer pair member (the consumer side)."""
 
     #: Per-batch forward hook: a generator callable ``forward(batch)``
-    #: run after the batch completes and the core is released. The
-    #: pipeline subsystem points this at
-    #: :meth:`~repro.pipeline.stage.StageConsumer._forward_batch` so an
-    #: operation stage re-produces its drained items into downstream
-    #: buffers; None (the default) keeps the plain-pair fast path.
+    #: run after the batch completes and the core is released. A
+    #: pipeline stage with downstream stages answers
+    #: :meth:`~repro.pipeline.stage.StageConsumer._forward_batch` so it
+    #: re-produces its drained items into their buffers; None (the
+    #: default) keeps the plain-pair fast path.
     _forward = None
 
     def __init__(
@@ -81,79 +81,7 @@ class LatchingConsumer:
         #: Event tracer (the falsy NULL_TRACER when tracing is off);
         #: the consumer's events live on the track named after it.
         self.tracer = tracer or NULL_TRACER
-        #: Aggregated telemetry (the falsy NULL_REGISTRY when metrics
-        #: are off). Instruments are resolved once here so every hot
-        #: site is a truthiness guard plus one pre-bound method call;
-        #: the NULL path hands back shared no-op singletons.
-        self.metrics = metrics or NULL_REGISTRY
-        self._m_produced = self.metrics.counter(
-            "items_produced_total",
-            help="Items delivered into consumer buffers.", consumer=owner,
-        )
-        self._m_consumed = self.metrics.counter(
-            "items_consumed_total",
-            help="Items drained and serviced by consumers.", consumer=owner,
-        )
-        self._m_wake_scheduled = self.metrics.counter(
-            "wakeups_total",
-            help="Consumer wake episodes by cause.",
-            consumer=owner, kind="scheduled",
-        )
-        self._m_wake_overflow = self.metrics.counter(
-            "wakeups_total", consumer=owner, kind="overflow",
-        )
-        self._m_latched = self.metrics.counter(
-            "slots_latched_total",
-            help="Reservations adopted onto an existing slot (w=0).",
-            consumer=owner,
-        )
-        self._m_missed = self.metrics.counter(
-            "slots_missed_total",
-            help="Reservations that opened a fresh slot.", consumer=owner,
-        )
-        self._m_overflows = self.metrics.counter(
-            "overflows_total",
-            help="Full-buffer encounters on delivery.", consumer=owner,
-        )
-        self._m_shed = self.metrics.counter(
-            "overflow_drops_total",
-            help="Items discarded by lossy overflow policies.",
-            consumer=owner,
-        )
-        self._m_resize_up = self.metrics.counter(
-            "buffer_resizes_total",
-            help="Dynamic buffer resizes by direction.",
-            consumer=owner, direction="up",
-        )
-        self._m_resize_down = self.metrics.counter(
-            "buffer_resizes_total", consumer=owner, direction="down",
-        )
-        self._m_capacity = self.metrics.gauge(
-            "buffer_capacity",
-            help="Current buffer capacity in slots.", consumer=owner,
-        )
-        self._m_batch_items = self.metrics.histogram(
-            "batch_items", BATCH_BUCKETS,
-            help="Items drained per batch.", consumer=owner,
-        )
-        self._m_clamps = self.metrics.counter(
-            "predictor_clamps_total",
-            help="Hardened-predictor outlier clamps.", consumer=owner,
-        )
-        self._m_reconv = self.metrics.counter(
-            "predictor_reconvergences_total",
-            help="Hardened-predictor regime re-convergences.",
-            consumer=owner,
-        )
-        # Pre-bound `.inc` for the per-item/per-slot sites: one
-        # attribute load + call instead of re-creating the bound method
-        # on every delivery (measurable by `repro metrics overhead`).
-        self._inc_produced = self._m_produced.inc
-        self._inc_latched = self._m_latched.inc
-        self._inc_missed = self._m_missed.inc
-        self._inc_wake_scheduled = self._m_wake_scheduled.inc
-        self._inc_wake_overflow = self._m_wake_overflow.inc
-        self.stats = PairStats()
+        self.stats = stats = PairStats()
         self.predictor = predictor or make_predictor(
             config.predictor,
             **(
@@ -168,7 +96,7 @@ class LatchingConsumer:
             self.predictor = HardenedPredictor(
                 self.predictor, clamp_factor=config.predictor_clamp_factor
             )
-        self.buffer = pool.register(
+        self.buffer = buffer = pool.register(
             owner,
             policy=config.overflow_policy,
             max_item_age_s=(
@@ -180,8 +108,84 @@ class LatchingConsumer:
             # would make the consumer and its buffer a reference cycle.
             clock=lambda: env.now,
         )
-        if self.metrics:
-            self._m_capacity.set(self.buffer.capacity)
+        # Telemetry: every series but the batch histogram is a view of
+        # a count kept above, read when the registry is snapshotted.
+        # The views close over the objects holding the counts, not over
+        # the consumer (see repro.telemetry.instruments.View).
+        metrics = metrics or NULL_REGISTRY
+        predictor = self.predictor
+        metrics.counter(
+            "items_produced_total",
+            help="Items delivered into consumer buffers.",
+            read=lambda: stats.produced, consumer=owner,
+        )
+        metrics.counter(
+            "items_consumed_total",
+            help="Items drained and serviced by consumers.",
+            read=lambda: stats.consumed, consumer=owner,
+        )
+        metrics.counter(
+            "wakeups_total",
+            help="Consumer wake episodes by cause.",
+            read=lambda: stats.scheduled_wakeups,
+            consumer=owner, kind="scheduled",
+        )
+        metrics.counter(
+            "wakeups_total",
+            read=lambda: stats.overflow_wakeups, consumer=owner, kind="overflow",
+        )
+        metrics.counter(
+            "slots_latched_total",
+            help="Reservations adopted onto an existing slot (w=0).",
+            read=lambda: stats.slots_latched, consumer=owner,
+        )
+        metrics.counter(
+            "slots_missed_total",
+            help="Reservations that opened a fresh slot.",
+            read=lambda: stats.slots_missed, consumer=owner,
+        )
+        metrics.counter(
+            "overflows_total",
+            help="Full-buffer encounters on delivery.",
+            read=lambda: stats.overflows - stats.forward_overflows,
+            consumer=owner,
+        )
+        metrics.counter(
+            "overflow_drops_total",
+            help="Items discarded by lossy overflow policies.",
+            read=lambda: stats.items_shed, consumer=owner,
+        )
+        metrics.counter(
+            "buffer_resizes_total",
+            help="Dynamic buffer resizes by direction.",
+            read=lambda: stats.resizes_up, consumer=owner, direction="up",
+        )
+        metrics.counter(
+            "buffer_resizes_total",
+            read=lambda: stats.resizes_down, consumer=owner, direction="down",
+        )
+        metrics.gauge(
+            "buffer_capacity",
+            help="Current buffer capacity in slots.",
+            read=lambda: buffer.capacity, consumer=owner,
+        )
+        metrics.counter(
+            "predictor_clamps_total",
+            help="Hardened-predictor outlier clamps.",
+            read=lambda: getattr(predictor, "clamped", 0), consumer=owner,
+        )
+        metrics.counter(
+            "predictor_reconvergences_total",
+            help="Hardened-predictor regime re-convergences.",
+            read=lambda: getattr(predictor, "reconvergences", 0),
+            consumer=owner,
+        )
+        #: The one live instrument: the model keeps no distribution of
+        #: batch sizes, so each batch is observed as it ends.
+        self._m_batch_items = metrics.histogram(
+            "batch_items", BATCH_BUCKETS,
+            help="Items drained per batch.", consumer=owner,
+        )
         #: Transient service-time multiplier (fault injectors raise it
         #: during a consumer-slowdown window).
         self.service_scale = 1.0
@@ -190,10 +194,6 @@ class LatchingConsumer:
         #: consumer's first post-migration batch (its recovery point).
         self.on_batch_done: "list" = []
         self.in_flight = 0
-        #: Size of the batch being serviced, and how many of its items
-        #: flush_metrics() has already credited to items_consumed_total.
-        self._batch_size = 0
-        self._credited = 0
         self._space_event = None
         self._activation = None
         self._overflow = None
@@ -219,8 +219,6 @@ class LatchingConsumer:
         ``stats.items_shed`` — the resilience report's conservation
         check depends on that accounting being exact.
         """
-        if self.metrics.enabled:
-            self._inc_produced()
         buffer = self.buffer
         if buffer.is_full:
             return self._deliver_overflow(t)
@@ -232,11 +230,9 @@ class LatchingConsumer:
     def _deliver_overflow(self, t: float):
         """The full-buffer branch of delivery (block or shed)."""
         self.stats.overflows += 1
-        if self.metrics:
-            self._m_overflows.inc()
         self._trigger_overflow()
         if self.buffer.policy == "block":
-            if self.tracer:
+            if self.tracer.enabled:
                 self.tracer.instant(
                     self.owner, "overflow", "buffer",
                     policy="block", capacity=self.buffer.capacity,
@@ -255,9 +251,7 @@ class LatchingConsumer:
             self.buffer.try_push(t)
             shed = self.buffer.items_dropped - before
             self.stats.items_shed += shed
-            if shed and self.metrics:
-                self._m_shed.inc(shed)
-            if self.tracer:
+            if self.tracer.enabled:
                 self.tracer.instant(
                     self.owner, "overflow", "buffer",
                     policy=self.buffer.policy, shed=shed,
@@ -338,14 +332,10 @@ class LatchingConsumer:
                 self.manager.cancel(self)
             else:
                 self.stats.scheduled_wakeups += 1
-            if self.metrics:
-                (
-                    self._inc_wake_scheduled if scheduled else self._inc_wake_overflow
-                )()
             self.stats.invocations += 1
 
             batch_span = None
-            if self.tracer:
+            if self.tracer.enabled:
                 batch_span = self.tracer.begin(
                     self.owner, "batch", "consumer",
                     scheduled=scheduled, core=self.core.core_id,
@@ -354,15 +344,10 @@ class LatchingConsumer:
             hold = yield from core.acquire(self.owner, after_block=True)
             yield from hold.busy(WAKE_CHECK_S)
             batch = self.buffer.drain()
-            self.in_flight = self._batch_size = len(batch)
+            self.in_flight = len(batch)
             self._notify_space()
             yield from serve_batch(self, core, batch)
-            if self.metrics:
-                # Batch-level accounting: one observe + one add per
-                # batch, never per item.
-                self._m_batch_items.observe(len(batch))
-                self._m_consumed.inc(len(batch) - self._credited)
-                self._credited = 0
+            self._m_batch_items.observe(len(batch))
 
             # Prediction update (r_j over the inter-invocation gap).
             gap = env.now - self._last_invocation
@@ -391,44 +376,22 @@ class LatchingConsumer:
                 # the core would deadlock the shared-core case.
                 yield from self._forward(batch)
 
-    def flush_metrics(self) -> None:
-        """Credit ``items_consumed_total`` with the finished items of a
-        batch the run stopped inside.
-
-        Batches are credited whole when they end; call this when the run
-        stops so the counter matches ``stats.consumed``. Safe to call
-        more than once, and to resume the run after.
-        """
-        if self.in_flight:
-            done = self._batch_size - self.in_flight
-            self._m_consumed.inc(done - self._credited)
-            self._credited = done
-
     def _observe_rate(self, rate: float) -> None:
-        """Feed the predictor; trace/count clamp and re-convergence."""
+        """Feed the predictor; trace clamp and re-convergence."""
         predictor = self.predictor
-        if (self.tracer or self.metrics) and isinstance(
-            predictor, HardenedPredictor
-        ):
-            clamped, reconverged = predictor.clamped, predictor.reconvergences
+        if not (self.tracer.enabled and isinstance(predictor, HardenedPredictor)):
             predictor.observe(rate)
-            if predictor.clamped > clamped:
-                if self.tracer:
-                    self.tracer.instant(
-                        self.owner, "predictor.clamp", "predictor", rate=rate,
-                    )
-                if self.metrics:
-                    self._m_clamps.inc()
-            if predictor.reconvergences > reconverged:
-                if self.tracer:
-                    self.tracer.instant(
-                        self.owner, "predictor.reconverge", "predictor",
-                        rate=rate,
-                    )
-                if self.metrics:
-                    self._m_reconv.inc()
-        else:
-            predictor.observe(rate)
+            return
+        clamped, reconverged = predictor.clamped, predictor.reconvergences
+        predictor.observe(rate)
+        if predictor.clamped > clamped:
+            self.tracer.instant(
+                self.owner, "predictor.clamp", "predictor", rate=rate,
+            )
+        if predictor.reconvergences > reconverged:
+            self.tracer.instant(
+                self.owner, "predictor.reconverge", "predictor", rate=rate,
+            )
 
     # -- reservation & resizing ---------------------------------------------------
     def _rho(self, slot_index: int, now: float, r_hat: float) -> float:
@@ -474,7 +437,7 @@ class LatchingConsumer:
                     )
                     if closer < chosen:
                         chosen, latched, capped = closer, closer_latched, True
-        if self.tracer:
+        if self.tracer.enabled:
             self.tracer.instant(
                 self.owner, "reserve.decision", "predictor",
                 slot=chosen,
@@ -483,8 +446,10 @@ class LatchingConsumer:
                 pool_capped=capped,
                 capacity=self.buffer.capacity,
             )
-        if self.metrics:
-            (self._inc_latched if latched else self._inc_missed)()
+        if latched:
+            self.stats.slots_latched += 1
+        else:
+            self.stats.slots_missed += 1
         self.manager.reserve(self, chosen)
         return chosen, latched
 
@@ -543,17 +508,14 @@ class LatchingConsumer:
             now = self.env.now
             self._cap_weighted_sum += before * (now - self._cap_last_change)
             self._cap_last_change = now
-            if self.tracer:
+            if self.buffer.capacity > before:
+                self.stats.resizes_up += 1
+            else:
+                self.stats.resizes_down += 1
+            if self.tracer.enabled:
                 self.tracer.counter(
                     self.owner, "buffer.capacity", self.buffer.capacity, "buffer"
                 )
-            if self.metrics:
-                (
-                    self._m_resize_up
-                    if self.buffer.capacity > before
-                    else self._m_resize_down
-                ).inc()
-                self._m_capacity.set(self.buffer.capacity)
         if not self.buffer.is_full:
             # Growing the buffer frees space just like draining does; a
             # producer blocked on the old wall must learn about it.

@@ -61,29 +61,6 @@ class CoreManager:
         self.timers = timers
         #: Event tracer (the falsy NULL_TRACER when tracing is off).
         self.tracer = tracer or NULL_TRACER
-        #: Aggregated telemetry (falsy NULL_REGISTRY when metrics off);
-        #: instruments pre-resolved so the loop pays one guard per site.
-        self.metrics = metrics or NULL_REGISTRY
-        core_label = str(core.core_id)
-        self._m_slots = self.metrics.counter(
-            "slots_fired_total",
-            help="Slots fired with at least one reservation.",
-            core=core_label,
-        )
-        self._m_activations = self.metrics.counter(
-            "activations_total",
-            help="Consumer activations delivered at slots.", core=core_label,
-        )
-        self._m_lost = self.metrics.counter(
-            "lost_signals_total",
-            help="Slot timer signals swallowed by the fault model.",
-            core=core_label,
-        )
-        self._m_watchdog = self.metrics.counter(
-            "watchdog_recoveries_total",
-            help="Slots fired by the watchdog instead of their timer.",
-            core=core_label,
-        )
         #: Trace track hosting this manager's slot lifecycle.
         self.track_name = f"core{core.core_id}.mgr"
         # All managers default to a shared grid origin: on hardware with
@@ -107,6 +84,29 @@ class CoreManager:
         self.lost_signals = 0
         #: Slots fired by the watchdog instead of their timer.
         self.watchdog_recoveries = 0
+        # Telemetry views of the counts above, read at each snapshot.
+        metrics = metrics or NULL_REGISTRY
+        core_label = str(core.core_id)
+        metrics.counter(
+            "slots_fired_total",
+            help="Slots fired with at least one reservation.",
+            read=lambda: self.scheduled_wakeups, core=core_label,
+        )
+        metrics.counter(
+            "activations_total",
+            help="Consumer activations delivered at slots.",
+            read=lambda: self.activations, core=core_label,
+        )
+        metrics.counter(
+            "lost_signals_total",
+            help="Slot timer signals swallowed by the fault model.",
+            read=lambda: self.lost_signals, core=core_label,
+        )
+        metrics.counter(
+            "watchdog_recoveries_total",
+            help="Slots fired by the watchdog instead of their timer.",
+            read=lambda: self.watchdog_recoveries, core=core_label,
+        )
         #: False after :meth:`shutdown` — a fail-stopped manager accepts
         #: no reservations and its process is gone.
         self.alive = True
@@ -134,7 +134,7 @@ class CoreManager:
                 f"requested={slot_index})"
             )
         self.track.reserve(slot_index, consumer)
-        if self.tracer:
+        if self.tracer.enabled:
             self.tracer.instant(
                 self.track_name,
                 "reserve",
@@ -150,7 +150,7 @@ class CoreManager:
         overflow right now and will re-reserve afterwards)."""
         cancelled = self.track.cancel(consumer)
         if cancelled is not None:
-            if self.tracer:
+            if self.tracer.enabled:
                 self.tracer.instant(
                     self.track_name, "cancel", "slot",
                     slot=cancelled, consumer=consumer.owner,
@@ -222,9 +222,7 @@ class CoreManager:
                 timer = self.timers.slot_alarm(when)
                 if timer is None:
                     self.lost_signals += 1
-                    if self.metrics:
-                        self._m_lost.inc()
-                    if self.tracer:
+                    if self.tracer.enabled:
                         self.tracer.instant(
                             self.track_name, "signal.lost", "slot",
                             slot=next_slot, due_s=when,
@@ -251,9 +249,7 @@ class CoreManager:
                 if recovering:
                     self.watchdog_recoveries += 1
                     self._consecutive_recoveries += 1
-                    if self.metrics:
-                        self._m_watchdog.inc()
-                    if self.tracer:
+                    if self.tracer.enabled:
                         self.tracer.instant(
                             self.track_name, "watchdog.recovery", "slot",
                             slot=next_slot, due_s=when,
@@ -266,10 +262,8 @@ class CoreManager:
             if not holders:
                 continue  # everyone cancelled while the timer was in flight
             self.scheduled_wakeups += 1
-            if self.metrics:
-                self._m_slots.inc()
             slot_span = None
-            if self.tracer:
+            if self.tracer.enabled:
                 slot_span = self.tracer.begin(
                     self.track_name, "slot", "slot",
                     slot=next_slot,
@@ -282,8 +276,6 @@ class CoreManager:
             for consumer in holders:
                 done = consumer.activate(next_slot)
                 self.activations += 1
-                if self.metrics:
-                    self._m_activations.inc()
                 if done is not None:
                     done_events.append(done)
             if done_events:
@@ -328,7 +320,7 @@ class CoreManager:
             if slot is None:
                 break
             orphans.extend(self.track.pop_slot(slot))
-        if self.tracer:
+        if self.tracer.enabled:
             self.tracer.instant(
                 self.track_name, "shutdown", "slot", orphans=len(orphans),
             )

@@ -71,9 +71,6 @@ class PBPLSystem:
         #: Event tracer threaded into every manager and consumer
         #: (None keeps them on the zero-cost NULL_TRACER path).
         self.tracer = tracer
-        #: Metrics registry threaded the same way (None keeps every
-        #: instrumentation site on the zero-cost NULL_REGISTRY path).
-        self.metrics = metrics
         cores = list(consumer_cores) if consumer_cores else [0]
         slot = self.config.effective_slot_size()
 
@@ -154,11 +151,6 @@ class PBPLSystem:
         report = migrate_consumers(self, manager, tracer=self.tracer)
         self.migrations.append(report)
         return report
-
-    def flush_metrics(self) -> None:
-        """End-of-run metrics flush: see :meth:`LatchingConsumer.flush_metrics`."""
-        for consumer in self.consumers:
-            consumer.flush_metrics()
 
     # -- aggregated statistics -----------------------------------------------
     def aggregate_stats(self) -> PairStats:

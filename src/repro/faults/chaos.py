@@ -341,8 +341,6 @@ def run_scenario(
     RuntimeInjector(rig.env, system, plan).start()
     probe = PowerProbe(rig, plan, params.duration_s).start()
     rig.env.run(until=params.duration_s)
-    if metrics is not None and impl == "PBPL":
-        system.flush_metrics()
 
     stats = system.aggregate_stats()
     rig.ledger.settle()
@@ -377,7 +375,7 @@ def run_scenario(
                 row.migration_recovery_s = m.recovered_s - rep.at_s
         per_consumer.append(row)
     recoveries = [rep.recovery_s for rep in migrations]
-    return ResilienceMetrics(
+    result = ResilienceMetrics(
         scenario=scenario.name,
         impl=impl,
         duration_s=params.duration_s,
@@ -420,6 +418,8 @@ def run_scenario(
         per_consumer=per_consumer,
         notes=plan.describe(),
     )
+    rig.env.close()
+    return result
 
 
 # -- the report -----------------------------------------------------------------

@@ -92,6 +92,16 @@ class PairStats:
     scheduled_wakeups: int = 0
     #: Batch-impl wakeups forced by a full buffer before the schedule.
     overflow_wakeups: int = 0
+    #: Of ``overflows``, those met by an upstream pipeline stage's
+    #: forward rather than by the pair's own producer.
+    forward_overflows: int = 0
+    #: PBPL reservations that latched onto an already-reserved slot
+    #: (``w = 0``), and those that opened a fresh slot.
+    slots_latched: int = 0
+    slots_missed: int = 0
+    #: PBPL dynamic resizes that grew, and that shrank, the buffer.
+    resizes_up: int = 0
+    resizes_down: int = 0
     #: Raw per-item response latencies, as C doubles: 8 bytes an item
     #: instead of a float object and a list slot.
     latencies: array = field(default_factory=lambda: array("d"))

@@ -77,11 +77,6 @@ class StageConsumer(LatchingConsumer):
             metrics=metrics,
         )
         self.stage = stage
-        self._m_stalls = self.metrics.counter(
-            "backpressure_stalls_total",
-            help="Forward deliveries that hit a full downstream buffer.",
-            stage=stage.name,
-        )
         #: Per-stage response budget L (the config's
         #: ``max_response_latency_s`` is the *cumulative* ``depth·L``).
         self.stage_budget_s = stage_budget_s
@@ -92,6 +87,12 @@ class StageConsumer(LatchingConsumer):
         #: Forward deliveries that found the downstream buffer full
         #: (back-pressure pushed upstream instead of absorbed).
         self.backpressure_stalls = 0
+        if metrics is not None:
+            metrics.counter(
+                "backpressure_stalls_total",
+                help="Forward deliveries that hit a full downstream buffer.",
+                read=lambda: self.backpressure_stalls, stage=stage.name,
+            )
         #: Latest upstream predicted hand-off time (cross-stage alignment).
         self._upstream_drain_s = float("-inf")
         #: When the current reservation is upstream-aligned, the slot
@@ -121,6 +122,15 @@ class StageConsumer(LatchingConsumer):
         )
 
     # -- forwarding (the stage's producer side) -----------------------------------
+    @property
+    def _forward(self):
+        """The per-batch forward hook (see :class:`LatchingConsumer`).
+
+        Looked up per batch rather than stored: a bound method kept on
+        the instance would be a reference cycle that keeps a finished
+        run alive until the cyclic collector runs."""
+        return self._forward_batch if self.downstreams else None
+
     def _forward_batch(self, batch):
         """Deliver a completed batch into every downstream buffer.
 
@@ -135,20 +145,13 @@ class StageConsumer(LatchingConsumer):
         for dest in self.downstreams:
             accept = dest._accept_forward
             dstats = dest.stats
-            metrics_on = dest.metrics.enabled
-            dm_produced = dest._m_produced
             for t in batch:
                 if dest.buffer.is_full:
                     stalls += 1
                 yield from accept(t)
                 dstats.produced += 1
-                if metrics_on:
-                    dm_produced.inc()
-        if stalls:
-            self.backpressure_stalls += stalls
-            if self.metrics:
-                self._m_stalls.inc(stalls)
-        if self.tracer:
+        self.backpressure_stalls += stalls
+        if self.tracer.enabled:
             self.tracer.instant(
                 self.owner, "stage.forward", "pipeline",
                 items=len(batch), fanout=len(self.downstreams), stalls=stalls,
@@ -169,6 +172,7 @@ class StageConsumer(LatchingConsumer):
         """
         if self.buffer.is_full:
             self.stats.overflows += 1
+            self.stats.forward_overflows += 1
             self._trigger_overflow()
             while self.buffer.is_full:
                 if self._space_event is None or self._space_event.triggered:
@@ -218,7 +222,7 @@ class StageConsumer(LatchingConsumer):
         held = track.reservation_of(self)
         if held is None or held == target or target <= track.slot_of(self.env.now):
             return
-        if self.tracer:
+        if self.tracer.enabled:
             self.tracer.instant(
                 self.owner, "stage.align", "pipeline",
                 drain_s=drain_s, realigned=True,
@@ -262,7 +266,7 @@ class StageConsumer(LatchingConsumer):
         now = self.env.now
         gap = hint - now
         if 0.0 < gap <= L and self._align_safe(hint):
-            if self.tracer:
+            if self.tracer.enabled:
                 self.tracer.instant(
                     self.owner, "stage.align", "pipeline", drain_s=hint,
                 )

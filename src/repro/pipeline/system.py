@@ -115,7 +115,6 @@ class PipelineSystem(PBPLSystem):
         self.topology = topology
         self.config = config or PBPLConfig()
         self.tracer = tracer
-        self.metrics = metrics
         cores = list(consumer_cores) if consumer_cores else [0]
         slot = self.config.effective_slot_size()
 
@@ -183,7 +182,6 @@ class PipelineSystem(PBPLSystem):
             ]
             if dests:
                 consumer.downstreams = dests
-                consumer._forward = consumer._forward_batch
 
         #: (source stage, trace, fed consumers) triples for :meth:`start`.
         self._source_feeds: List[Tuple[object, Trace, List[StageConsumer]]] = [

@@ -4,10 +4,10 @@ Where :mod:`repro.trace` records *every* event (full fidelity, bounded
 by a ring), this package records *aggregates*: typed instruments —
 monotonic counters, gauges, fixed-bucket histograms — registered by
 name and label set, flushed into bounded tumbling-window series in
-virtual time, and exported as OpenMetrics/Prometheus text or
-byte-stable JSONL. A disabled registry is the falsy
-:data:`NULL_REGISTRY` singleton, so the default hot path costs one
-truthiness check (gated by ``repro metrics overhead``).
+virtual time, and exported as OpenMetrics/Prometheus text. Most series
+are views that read a count the model already keeps when the registry
+is snapshotted; a disabled registry is the falsy :data:`NULL_REGISTRY`
+singleton (gated by ``repro metrics overhead``).
 
 Typical use::
 
@@ -28,7 +28,6 @@ from repro.telemetry.export import (
     MetricsParseError,
     diff_openmetrics,
     parse_openmetrics,
-    snapshot_to_jsonl,
     to_openmetrics,
 )
 from repro.telemetry.instruments import Counter, Gauge, Histogram
@@ -36,7 +35,6 @@ from repro.telemetry.names import REGISTERED_NAMES
 from repro.telemetry.reconcile import (
     ReconcileCheck,
     reconcile_core_wakeups,
-    reconcile_counters,
     reconcile_energy,
     render_checks,
 )
@@ -88,9 +86,7 @@ __all__ = [
     "diff_openmetrics",
     "parse_openmetrics",
     "reconcile_core_wakeups",
-    "reconcile_counters",
     "reconcile_energy",
     "render_checks",
-    "snapshot_to_jsonl",
     "to_openmetrics",
 ]

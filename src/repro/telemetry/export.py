@@ -1,14 +1,11 @@
-"""Exporters and diffing for metrics snapshots.
+"""Exporter and diffing for metrics snapshots.
 
-Two wire formats, both byte-stable (families and label sets are sorted
-in the snapshot, floats use ``repr`` round-trip formatting):
-
-* OpenMetrics/Prometheus text exposition — ``# TYPE``/``# HELP`` per
-  family, cumulative ``_bucket{le=...}`` histogram samples, a final
-  ``# EOF`` terminator. This is what CI uploads per scenario and what
-  ``repro metrics diff`` compares against the committed golden.
-* JSONL — one JSON object per sample, keys sorted, no whitespace
-  variance.
+The wire format is the OpenMetrics/Prometheus text exposition, byte-
+stable (families and label sets are sorted in the snapshot, floats use
+``repr`` round-trip formatting): ``# TYPE``/``# HELP`` per family,
+cumulative ``_bucket{le=...}`` histogram samples, a final ``# EOF``
+terminator. This is what CI uploads per scenario and what
+``repro metrics diff`` compares against the committed golden.
 
 ``diff_openmetrics`` mirrors ``repro trace diff``: structural drift
 (series appearing/disappearing) or a value delta beyond thresholds
@@ -17,11 +14,9 @@ means a non-empty diff, and the CLI exits 1.
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Dict, List, Tuple
 
-from repro.telemetry.instruments import Histogram
 from repro.telemetry.registry import MetricsSnapshot
 
 #: Prefix prepended to every exported family name.
@@ -75,28 +70,6 @@ def to_openmetrics(snapshot: MetricsSnapshot, prefix: str = PREFIX) -> str:
                 lines.append(f"{full}{_labels_text(labels)} {_format_value(state)}")
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-def _sample_dict(name, kind, labels, state) -> Dict[str, object]:
-    row: Dict[str, object] = {
-        "name": name,
-        "kind": kind,
-        "labels": {k: v for k, v in labels},
-    }
-    if isinstance(state, Histogram):
-        row.update(state.state())
-    else:
-        row["value"] = state
-    return row
-
-
-def snapshot_to_jsonl(snapshot: MetricsSnapshot) -> str:
-    """One JSON object per sample, byte-stable."""
-    lines = [
-        json.dumps(_sample_dict(*sample), sort_keys=True, separators=(",", ":"))
-        for sample in snapshot.samples()
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 _SAMPLE_RE = re.compile(r"^([A-Za-z_:][A-Za-z0-9_:]*)(\{[^}]*\})?\s+(\S+)$")
@@ -159,16 +132,6 @@ class MetricsDiff:
         for key, a, b in self.rows:
             lines.append(f"  - {key}: {_format_value(a)} -> {_format_value(b)}")
         return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "drifted": self.drifted,
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "only_a": list(self.only_a),
-            "only_b": list(self.only_b),
-            "changed": [{"key": k, "a": a, "b": b} for k, a, b in self.rows],
-        }
 
 
 def diff_openmetrics(

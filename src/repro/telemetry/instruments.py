@@ -18,7 +18,7 @@ hypothesis in ``tests/telemetry``).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Sequence
 
 
 class Counter:
@@ -34,6 +34,26 @@ class Counter:
         if amount < 0:
             raise ValueError("counter increments must be non-negative")
         self.value += amount
+
+
+class View:
+    """A counter or gauge series whose value is read from the model.
+
+    ``read`` is called at every :meth:`MetricsRegistry.snapshot`, so the
+    series costs nothing while the run goes and always agrees with the
+    count the model keeps. It should close over the object holding the
+    count, never over something that holds the registry: that would
+    make a reference cycle that keeps a finished run alive.
+    """
+
+    __slots__ = ("read",)
+
+    def __init__(self, read: Callable[[], object]) -> None:
+        self.read = read
+
+    @property
+    def value(self):
+        return self.read()
 
 
 class Gauge:
@@ -106,15 +126,6 @@ class Histogram:
         out.sum = self.sum
         out.count = self.count
         return out
-
-    def state(self) -> Dict[str, object]:
-        """JSON-ready dict (used by the JSONL exporter)."""
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "sum": self.sum,
-            "count": self.count,
-        }
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Histogram):

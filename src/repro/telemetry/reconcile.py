@@ -1,14 +1,14 @@
-"""Reconciliation of registry totals against the harness's own accounts.
+"""Reconciliation of the registry's live folds against the run's accounts.
 
-Counters are only trustworthy if they agree with the accounting the
-rest of the harness already believes: the aggregated
-:class:`repro.impls.base.PairStats`, the consumer core's wakeup count,
-and — to <1e-9 J — the exact :class:`repro.power.ledger.EnergyLedger`.
-The registry's joules are a view of the ledger's segments, so the
-energy check guards that wiring; the independent cross-check of the
-ledger itself is ``tests/power/test_energy_views.py``.
-``repro metrics snapshot`` prints this check table and exits non-zero
-on any mismatch; the unit tests assert the same invariants.
+Every model count reaches the registry as a view read at snapshot time,
+so it agrees by construction. The power collector's counters are the
+exception: they fold the ledger's segments as they close, so they are
+held to the consumer core's own wakeup count and — to <1e-9 J — the
+exact :class:`repro.power.ledger.EnergyLedger` total. That guards the
+wiring; the independent cross-check of the ledger itself is
+``tests/power/test_energy_views.py``. ``repro metrics snapshot`` prints
+this check table and exits non-zero on any mismatch; the unit tests
+assert the same invariants.
 """
 
 from __future__ import annotations
@@ -38,42 +38,6 @@ class ReconcileCheck:
             f"ReconcileCheck({self.name}: metric={self.metric} "
             f"ref={self.reference} tol={self.tol})"
         )
-
-
-def reconcile_counters(snapshot: MetricsSnapshot, stats) -> List[ReconcileCheck]:
-    """Counter totals vs the aggregated pair statistics."""
-    return [
-        ReconcileCheck(
-            "items_produced_total == stats.produced",
-            snapshot.total("items_produced_total"),
-            stats.produced,
-        ),
-        ReconcileCheck(
-            "items_consumed_total == stats.consumed",
-            snapshot.total("items_consumed_total"),
-            stats.consumed,
-        ),
-        ReconcileCheck(
-            "slots_fired_total == stats.scheduled_wakeups",
-            snapshot.total("slots_fired_total"),
-            stats.scheduled_wakeups,
-        ),
-        ReconcileCheck(
-            "wakeups_total{kind=overflow} == stats.overflow_wakeups",
-            snapshot.total("wakeups_total", kind="overflow"),
-            stats.overflow_wakeups,
-        ),
-        ReconcileCheck(
-            "overflows_total == stats.overflows",
-            snapshot.total("overflows_total"),
-            stats.overflows,
-        ),
-        ReconcileCheck(
-            "overflow_drops_total == stats.items_shed",
-            snapshot.total("overflow_drops_total"),
-            stats.items_shed,
-        ),
-    ]
 
 
 def reconcile_energy(

@@ -1,12 +1,14 @@
 """Metrics registry: get-or-create typed instruments keyed by labels.
 
-Instrumentation sites resolve their instruments *once* at construction
-(``self._m_x = metrics.counter("...", consumer=owner)``) and the hot
-path is a truthiness guard plus one method call on the pre-resolved
-handle. A disabled registry is the falsy :data:`NULL_REGISTRY`
-singleton — exactly the :data:`repro.trace.NULL_TRACER` idiom — so the
-default configuration costs one ``if self.metrics:`` check and nothing
-else (gated by ``repro metrics overhead``).
+Most series are *views*: a counter or gauge registered once with
+``read=`` (``metrics.counter("...", read=lambda: stats.produced,
+consumer=owner)``) reads the count the model already keeps when
+:meth:`MetricsRegistry.snapshot` runs, so it costs nothing while the run
+goes and cannot disagree with the model. Live instruments remain only
+where the registry is the count's one home: a histogram (the model
+keeps no distribution) and the power collector's ledger fold. A
+disabled registry is the falsy :data:`NULL_REGISTRY` singleton, which
+hands out shared no-op instruments and ignores ``read``.
 
 Metric names are lowercase snake_case literals checked statically by
 ``repro lint`` (METRIC001) against the generated table in
@@ -19,7 +21,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry.instruments import Counter, Gauge, Histogram
+from repro.telemetry.instruments import Counter, Gauge, Histogram, View
 
 #: Canonical label-set form: sorted ``(key, value)`` string pairs.
 LabelSet = Tuple[Tuple[str, str], ...]
@@ -131,17 +133,12 @@ class MetricsRegistry:
     label through every emission site.
     """
 
-    # No __bool__ on purpose: instances fall back to the default-truthy
-    # C slot, so the hot-path `if self.metrics:` guard never enters a
-    # Python-level call when a live registry is attached.
-    enabled = True
-
     def __init__(self, const_labels: Optional[Dict[str, str]] = None) -> None:
         self._families: Dict[str, _Family] = {}
         self.const_labels = dict(const_labels or {})
         _label_key(self.const_labels)  # validate eagerly
 
-    def _series(self, name, kind, help_text, labels, buckets=None):
+    def _series(self, name, kind, help_text, labels, buckets=None, read=None):
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name: {name!r}")
         family = self._families.get(name)
@@ -165,7 +162,11 @@ class MetricsRegistry:
         merged.update(labels)
         key = _label_key(merged)
         instrument = family.series.get(key)
-        if instrument is None:
+        if read is not None:
+            if instrument is not None:
+                raise ValueError(f"series {name}{dict(key)} is already registered")
+            instrument = family.series[key] = View(read)
+        elif instrument is None:
             if kind == "counter":
                 instrument = Counter()
             elif kind == "gauge":
@@ -175,11 +176,14 @@ class MetricsRegistry:
             family.series[key] = instrument
         return instrument
 
-    def counter(self, name, help="", **labels) -> Counter:
-        return self._series(name, "counter", help, labels)
+    def counter(self, name, help="", read=None, **labels) -> Counter:
+        """The counter series ``name{labels}``; with ``read``, a view
+        whose value is ``read()`` at each snapshot (see :class:`View`)."""
+        return self._series(name, "counter", help, labels, read=read)
 
-    def gauge(self, name, help="", **labels) -> Gauge:
-        return self._series(name, "gauge", help, labels)
+    def gauge(self, name, help="", read=None, **labels) -> Gauge:
+        """The gauge series ``name{labels}``; ``read`` as for :meth:`counter`."""
+        return self._series(name, "gauge", help, labels, read=read)
 
     def histogram(self, name, buckets: Sequence[float], help="", **labels) -> Histogram:
         return self._series(name, "histogram", help, labels, tuple(float(b) for b in buckets))
@@ -227,13 +231,12 @@ class _NullHistogram:
 class NullRegistry:
     """Disabled registry: falsy, hands out shared no-op instruments.
 
-    Mirrors :class:`repro.trace.NullTracer` — instrumentation sites
-    guard with ``if self.metrics:`` so the disabled path is one
-    truthiness check; construction-time instrument resolution returns
-    these shared singletons so the attributes always exist.
+    Mirrors :class:`repro.trace.NullTracer`: construction-time
+    registration returns these shared singletons (and drops any
+    ``read`` view), so a site can hold and call its handle whether or
+    not metrics are on.
     """
 
-    enabled = False
     const_labels: Dict[str, str] = {}
     _NULL_COUNTER = _NullCounter()
     _NULL_GAUGE = _NullGauge()
@@ -242,10 +245,10 @@ class NullRegistry:
     def __bool__(self) -> bool:
         return False
 
-    def counter(self, name, help="", **labels) -> _NullCounter:
+    def counter(self, name, help="", read=None, **labels) -> _NullCounter:
         return self._NULL_COUNTER
 
-    def gauge(self, name, help="", **labels) -> _NullGauge:
+    def gauge(self, name, help="", read=None, **labels) -> _NullGauge:
         return self._NULL_GAUGE
 
     def histogram(self, name, buckets, help="", **labels) -> _NullHistogram:

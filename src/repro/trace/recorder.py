@@ -236,8 +236,6 @@ def record_run(
         profiler.run(rig.env, until=duration_s)
     else:
         rig.env.run(until=duration_s)
-    if metrics is not None and impl == "PBPL":
-        system.flush_metrics()
     # The trace's last spans must land before finalize() closes it; the
     # registry's tail comes after the final window frame, which (like
     # every frame) holds only segments closed by real transitions.
@@ -249,7 +247,7 @@ def record_run(
     if collector is not None:
         rig.ledger.remove_sink(collector)
 
-    return RecordedRun(
+    run = RecordedRun(
         tracer=tracer,
         impl=impl,
         scenario=scenario,
@@ -262,3 +260,5 @@ def record_run(
         metrics=metrics,
         frames=list(windows.frames) if windows is not None else [],
     )
+    rig.env.close()
+    return run

@@ -14,11 +14,13 @@ a core manager, a consumer, the fault injector):
 
 Design constraints, in order:
 
-1. **Zero-cost when disabled.** Every instrumentation site guards with
-   ``if self.tracer:`` against the shared :data:`NULL_TRACER`
-   singleton, whose ``__bool__`` is ``False`` — a disabled run pays one
-   attribute load and one truthiness test per site, nothing else. No
-   argument dicts are built, no strings formatted.
+1. **Zero-cost when disabled.** Hot instrumentation sites (per batch,
+   per slot) guard with ``if self.tracer.enabled:``, a class attribute
+   that is ``False`` on the shared :data:`NULL_TRACER` singleton — a
+   disabled run pays two attribute loads per site and no call. Rare
+   sites may test truthiness instead: ``NULL_TRACER`` is falsy, which
+   is also what ``tracer or NULL_TRACER`` relies on. No argument dicts
+   are built, no strings formatted.
 2. **Deterministic.** Timestamps are the simulation clock (virtual
    seconds), sequence numbers break ties in emission order, and no
    wall-clock or id()-derived values ever enter an event — the same
@@ -130,9 +132,10 @@ class Span:
 class NullTracer:
     """The disabled tracer: every operation is a no-op.
 
-    Falsy, so hot paths can skip argument construction entirely::
+    ``enabled`` is ``False`` (and the instance falsy), so sites can skip
+    argument construction entirely::
 
-        if self.tracer:
+        if self.tracer.enabled:
             self.tracer.instant("core0.mgr", "watchdog.recovery", slot=k)
     """
 

@@ -187,3 +187,45 @@ def test_report_passed_ignores_baseline_verdicts():
     report.baselines.append(bad)
     assert report.passed  # baseline LEAKED/VIOLATED rows are informational
     assert "Baseline degradation" in report.render()
+
+
+@pytest.mark.parametrize("name", ["clean", "core-kill", "pipeline-burst"])
+@pytest.mark.parametrize("with_registry", [False, True], ids=["bare", "metered"])
+def test_finished_scenario_is_freed_without_the_collector(
+    name, with_registry, monkeypatch
+):
+    """The run's object graph goes by reference counting when
+    run_scenario returns (and, with a registry, once the caller drops
+    it), not whenever the cyclic collector next runs."""
+    import gc
+    import weakref
+
+    from repro.harness import runner
+    from repro.sim import Environment
+    from repro.telemetry import MetricsRegistry
+
+    envs = []
+
+    class Tracked(Environment):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            envs.append(weakref.ref(self))
+
+    monkeypatch.setattr(runner, "Environment", Tracked)
+    scenario = next(s for s in DEFAULT_SCENARIOS if s.name == name)
+    params = StandardParams(duration_s=0.3, seed=2014)
+    gc.collect()
+    gc.disable()
+    try:
+        registry = MetricsRegistry() if with_registry else None
+        result = run_scenario(scenario, params, 3, metrics=registry)
+        if registry is not None:
+            consumed = registry.snapshot().total("items_consumed_total")
+            assert consumed == result.consumed
+            del registry
+        alive = [ref for ref in envs if ref() is not None]
+    finally:
+        gc.enable()
+    assert result.consumed > 0
+    assert len(envs) == 1
+    assert alive == []

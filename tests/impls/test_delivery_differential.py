@@ -81,8 +81,6 @@ def _deliver_batch(pair, t):
 
 
 def _deliver_pbpl(pair, t):
-    if pair.metrics:
-        pair._inc_produced()
     if pair.buffer.is_full:
         yield from pair._deliver_overflow(t)
         return

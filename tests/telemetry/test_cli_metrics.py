@@ -26,13 +26,6 @@ def test_snapshot_to_stdout(capsys):
     assert "OK" in captured.err  # reconciliation table goes to stderr
 
 
-def test_snapshot_jsonl(tmp_path):
-    out = tmp_path / "m.jsonl"
-    assert main(["metrics", "snapshot", *FAST, "--jsonl", "-o", str(out)]) == 0
-    first = out.read_text(encoding="utf-8").splitlines()[0]
-    assert first.startswith("{")
-
-
 def test_snapshot_baseline_impl_reconciles_energy(capsys, tmp_path):
     out = tmp_path / "m.prom"
     code = main(

@@ -5,7 +5,7 @@ in the chaos matrix (serialisation order must not leak into exports)."""
 import pytest
 
 from repro.faults import SMOKE_SCENARIOS, run_chaos
-from repro.telemetry import MetricsRegistry, snapshot_to_jsonl, to_openmetrics
+from repro.telemetry import MetricsRegistry, to_openmetrics
 from repro.trace import record_run
 
 from tests.telemetry.conftest import SPEC
@@ -23,15 +23,11 @@ def _snapshot_text():
         seed=SPEC["seed"],
         metrics=registry,
     )
-    snap = registry.snapshot()
-    return to_openmetrics(snap), snapshot_to_jsonl(snap)
+    return to_openmetrics(registry.snapshot())
 
 
 def test_exports_are_byte_identical_across_runs():
-    (prom_a, jsonl_a) = _snapshot_text()
-    (prom_b, jsonl_b) = _snapshot_text()
-    assert prom_a == prom_b
-    assert jsonl_a == jsonl_b
+    assert _snapshot_text() == _snapshot_text()
 
 
 @pytest.mark.slow

@@ -1,6 +1,4 @@
-"""Exporters: OpenMetrics text, JSONL, parse round-trip, drift diffs."""
-
-import json
+"""Exporter: OpenMetrics text, parse round-trip, drift diffs."""
 
 import pytest
 
@@ -9,7 +7,6 @@ from repro.telemetry import (
     MetricsRegistry,
     diff_openmetrics,
     parse_openmetrics,
-    snapshot_to_jsonl,
     to_openmetrics,
 )
 
@@ -72,8 +69,6 @@ def test_diff_reports_drift_and_missing_series():
     rendered = diff.render()
     assert "wakeups_total" in rendered
     assert "overflows_total" in rendered
-    payload = diff.to_dict()
-    assert payload["drifted"] is True
 
 
 def test_diff_thresholds_absorb_small_drift():
@@ -85,15 +80,6 @@ def test_diff_thresholds_absorb_small_drift():
     assert diff_openmetrics(a_text, b_text).drifted
     assert not diff_openmetrics(a_text, b_text, abs_tol=1.0).drifted
     assert not diff_openmetrics(a_text, b_text, rel_tol=0.5).drifted
-
-
-def test_jsonl_is_valid_and_sorted():
-    text = snapshot_to_jsonl(_registry().snapshot())
-    rows = [json.loads(line) for line in text.splitlines()]
-    assert [r["name"] for r in rows] == sorted(r["name"] for r in rows)
-    hist = next(r for r in rows if r["name"] == "batch_items")
-    assert hist["count"] == 3
-    assert hist["counts"] == [1, 1, 1]
 
 
 def test_exported_floats_are_repr_exact():

@@ -96,3 +96,28 @@ def test_delta_counters_histograms_subtract_gauges_sample():
     assert d.value("buffer_capacity") == 32  # gauges keep the sampled value
     hist = d.value("batch_items")
     assert hist.count == 1 and hist.sum == 8.0
+
+
+def test_views_read_the_model_at_each_snapshot():
+    model = {"consumed": 0, "capacity": 25}
+    r = MetricsRegistry(const_labels={"impl": "PBPL"})
+    r.counter("items_consumed_total", read=lambda: model["consumed"], consumer="c0")
+    r.gauge("buffer_capacity", read=lambda: model["capacity"], consumer="c0")
+    before = r.snapshot()
+    model.update(consumed=7, capacity=12)
+    after = r.snapshot()
+    assert before.value("items_consumed_total", impl="PBPL", consumer="c0") == 0
+    assert after.value("items_consumed_total", impl="PBPL", consumer="c0") == 7
+    frame = after.delta(before)
+    assert frame.value("items_consumed_total", impl="PBPL", consumer="c0") == 7
+    assert frame.value("buffer_capacity", impl="PBPL", consumer="c0") == 12
+    # One origin per series: a second registration of a view is refused.
+    with pytest.raises(ValueError):
+        r.counter("items_consumed_total", read=lambda: 0, consumer="c0")
+
+
+def test_null_registry_drops_views():
+    from repro.telemetry import NULL_REGISTRY
+
+    NULL_REGISTRY.counter("items_consumed_total", read=lambda: 1 / 0)
+    assert NULL_REGISTRY.snapshot().families == []

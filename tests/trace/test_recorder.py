@@ -38,3 +38,41 @@ def test_capacity_bounds_collection():
     run = record_run("PBPL", "webserver", duration_s=0.3, capacity=100)
     assert len(run.tracer.events) <= 100
     assert run.tracer.dropped_events > 0
+
+
+@pytest.mark.parametrize("scenario", ["webserver", "pipeline-burst"])
+def test_recorded_run_is_freed_without_the_collector(scenario, monkeypatch):
+    """Once the caller drops the RecordedRun and its registry, the run's
+    object graph goes by reference counting: the registry's views hold
+    model counts, not a cycle back to themselves."""
+    import gc
+    import weakref
+
+    from repro.harness import runner
+    from repro.sim import Environment
+    from repro.telemetry import MetricsRegistry
+
+    envs = []
+
+    class Tracked(Environment):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            envs.append(weakref.ref(self))
+
+    monkeypatch.setattr(runner, "Environment", Tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        registry = MetricsRegistry()
+        run = record_run(
+            "PBPL", scenario, duration_s=0.3, n_consumers=3,
+            metrics=registry, window_s=0.1,
+        )
+        consumed = registry.snapshot().total("items_consumed_total")
+        assert consumed == run.stats.consumed > 0
+        del run, registry
+        alive = [ref for ref in envs if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(envs) == 1
+    assert alive == []

@@ -2,11 +2,9 @@
 
 The whole-program half of ``repro lint`` works on *facts*, not ASTs: for
 every source file, :func:`extract_facts` distills the module into a
-JSON-serializable dict (imports, function taint summaries, schedule call
-sites, taint sinks, suppression pragmas, local findings). Facts are what
-the incremental cache under ``results/.lintcache`` stores, so a warm run
-never re-parses an unchanged file — the project pass (taint propagation,
-scheduling-hazard rules, layer reachability) runs over cached facts.
+plain dict (imports, function taint summaries, schedule call sites,
+taint sinks). The project rules (taint propagation, scheduling-hazard
+rules, the layer matrix) run over the facts of all files at once.
 
 :class:`Project` stitches per-file facts together:
 
@@ -15,9 +13,8 @@ scheduling-hazard rules, layer reachability) runs over cached facts.
   in an ``__init__`` resolves to ``repro.x.helper``);
 * a **call graph** implicit in the summaries' resolved callee refs;
 * a transitive **import graph** over repro-internal modules (plus a
-  pseudo-node for numpy), which upgrades the LAYER001/LAYER002 matrix
-  from direct-import checks to reachability checks and gives
-  ``repro lint --diff`` its reverse-dependency cone.
+  pseudo-node for numpy), over which LAYER001/LAYER002 check the
+  import matrix by reachability.
 
 Callee refs use three spellings: absolute dotted names for imported
 targets (``repro.harness.clock.perf_counter``), ``@local:<module>:<qualname>``
@@ -29,11 +26,7 @@ all three to a canonical key into the summary table.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
-
-#: Bump when the shape of the facts dict changes; the cache discards
-#: entries written by a different extractor version.
-FACTS_SCHEMA = 4
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: How many re-export / summary hops a resolution may take before the
 #: analysis gives up (keeps cyclic import graphs and pathological alias
@@ -86,14 +79,9 @@ def _collect_defs(tree: ast.Module) -> Dict[str, ast.AST]:
     return defs
 
 
-def extract_facts(ctx, local_findings, pragmas) -> dict:
+def extract_facts(ctx) -> dict:
     """Distill one :class:`~repro.analysis.engine.ModuleContext` into the
-    JSON-serializable fact record the project pass and the cache use.
-
-    ``local_findings`` are the per-module rule results *before*
-    suppression and ``pragmas`` the parsed pragma records — both stored
-    raw so a cache hit can replay filtering without the source text.
-    """
+    fact record the project pass uses."""
     from repro.analysis.rules_layer import imported_modules, iter_runtime_imports
     from repro.analysis.taint import extract_function_facts
 
@@ -106,24 +94,12 @@ def extract_facts(ctx, local_findings, pragmas) -> dict:
     functions, sched_sites, sinks, calls = extract_function_facts(ctx, mid)
 
     return {
-        "schema": FACTS_SCHEMA,
         "path": ctx.display_path,
         "module": ctx.module,
         "module_id": mid,
         "layer": ctx.layer,
         "imports": dict(ctx.imports),
         "runtime_imports": runtime_imports,
-        "pragmas": pragmas,
-        "local_findings": [
-            {
-                "path": f.path,
-                "line": f.line,
-                "col": f.col,
-                "code": f.code,
-                "message": f.message,
-            }
-            for f in local_findings
-        ],
         "functions": functions,
         "sched_sites": sched_sites,
         "sinks": sinks,
@@ -157,7 +133,6 @@ class Project:
                     key = f"{mid}:{sink['target']}"
                     self.attr_writes.setdefault(key, []).append(sink)
         self._import_edges: Optional[Dict[str, List[Tuple[str, int]]]] = None
-        self._reverse_edges: Optional[Dict[str, Set[str]]] = None
 
     # -- symbol resolution --------------------------------------------------
 
@@ -267,22 +242,3 @@ class Project:
             if mod == target:
                 return lineno
         return 1
-
-    def reverse_dependency_cone(self, module_ids: Iterable[str]) -> FrozenSet[str]:
-        """``module_ids`` plus every module that transitively imports one
-        of them — the set a change to those files can affect."""
-        if self._reverse_edges is None:
-            reverse: Dict[str, Set[str]] = {}
-            for mid, targets in self._edges().items():
-                for target, _lineno in targets:
-                    reverse.setdefault(target, set()).add(mid)
-            self._reverse_edges = reverse
-        cone: Set[str] = set()
-        queue = [m for m in module_ids]
-        while queue:
-            mid = queue.pop()
-            if mid in cone:
-                continue
-            cone.add(mid)
-            queue.extend(self._reverse_edges.get(mid, ()))
-        return frozenset(cone)

@@ -46,10 +46,14 @@ def render_text(findings: Sequence[Finding]) -> str:
     return "\n".join(lines)
 
 
-def render_json(findings: Sequence[Finding]) -> str:
+def render_json(
+    findings: Sequence[Finding],
+    unused_suppressions: Sequence[dict],
+    errors: Sequence[str],
+) -> str:
     """Stable JSON document (sorted keys, newline-terminated)."""
     doc = {
-        "schema": "repro.lint/1",
+        "schema": "repro.lint/3",
         "count": len(findings),
         "findings": [
             {
@@ -61,5 +65,7 @@ def render_json(findings: Sequence[Finding]) -> str:
             }
             for f in findings
         ],
+        "unused_suppressions": list(unused_suppressions),
+        "errors": list(errors),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Sequence, Set
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.engine import ModuleContext
@@ -28,12 +28,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class LintRule:
     """Base class for AST lint rules.
 
-    Subclasses set ``code`` (e.g. ``"DET001"``) and ``summary`` and
-    implement :meth:`check`, returning findings for one module.
+    Subclasses set ``code`` (e.g. ``"DET001"``) and implement
+    :meth:`check`, returning findings for one module.
     """
 
     code: str = ""
-    summary: str = ""
 
     def check(self, ctx: "ModuleContext") -> List["Finding"]:
         raise NotImplementedError
@@ -56,14 +55,10 @@ class ProjectRule:
     Unlike :class:`LintRule`, a project rule sees every file at once: it
     runs over the :class:`~repro.analysis.callgraph.Project` built from
     per-file facts (symbol table, call graph, import graph, taint
-    summaries) and may anchor findings in any file. A project rule may
-    share its code with a local rule (LAYER001's reachability upgrade
-    complements the direct-import check under the same code), so the two
-    registries are kept separate.
+    summaries) and may anchor findings in any file.
     """
 
     code: str = ""
-    summary: str = ""
 
     def check_project(self, project) -> List["Finding"]:
         raise NotImplementedError
@@ -74,8 +69,7 @@ class ProjectRule:
         return Finding(path=path, line=line, col=col, code=self.code, message=message)
 
 
-_REGISTRY: Dict[str, LintRule] = {}
-_PROJECT_REGISTRY: Dict[str, ProjectRule] = {}
+_REGISTRY: Dict[str, object] = {}
 
 
 def register(cls):
@@ -88,36 +82,14 @@ def register(cls):
     return cls
 
 
-def register_project(cls):
-    """Class decorator: register a whole-program rule by its code."""
-    if not cls.code:
-        raise ValueError(f"rule {cls.__name__} has no code")
-    if cls.code in _PROJECT_REGISTRY:
-        raise ValueError(f"duplicate project rule code {cls.code}")
-    _PROJECT_REGISTRY[cls.code] = cls()
-    return cls
-
-
 def all_rules() -> List[LintRule]:
     """Registered per-module rules in code order."""
-    return [_REGISTRY[code] for code in sorted(_REGISTRY)]
+    return [r for _, r in sorted(_REGISTRY.items()) if isinstance(r, LintRule)]
 
 
 def all_project_rules() -> List[ProjectRule]:
     """Registered whole-program rules in code order."""
-    return [_PROJECT_REGISTRY[code] for code in sorted(_PROJECT_REGISTRY)]
-
-
-def rule_codes() -> List[str]:
-    return sorted(set(_REGISTRY) | set(_PROJECT_REGISTRY))
-
-
-def rule_summaries() -> Dict[str, str]:
-    """code -> one-line summary for every registered rule (SARIF metadata)."""
-    out = {code: rule.summary for code, rule in _REGISTRY.items()}
-    for code, rule in _PROJECT_REGISTRY.items():
-        out.setdefault(code, rule.summary)
-    return dict(sorted(out.items()))
+    return [r for _, r in sorted(_REGISTRY.items()) if isinstance(r, ProjectRule)]
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +126,9 @@ def parse_pragmas(lines: Sequence[str]) -> List[dict]:
 
     ``{"line": pragma line, "codes": sorted codes/families, "covers":
     lines the pragma suppresses}`` — its own line, plus the next line
-    when the pragma stands alone on a comment line. Records (not just
-    the derived line map) are kept so the engine can report pragmas
-    that matched no finding.
+    when the pragma stands alone on a comment line. The engine marks
+    each record it uses, so pragmas that matched no finding are
+    reported.
     """
     commented = _comment_lines(lines)
     out: List[dict] = []
@@ -178,30 +150,6 @@ def parse_pragmas(lines: Sequence[str]) -> List[dict]:
     return out
 
 
-def suppression_map(pragmas: Sequence[dict]) -> Dict[int, FrozenSet[str]]:
-    """Pragma records -> {1-based line: codes allowed on that line}."""
-    supp: Dict[int, FrozenSet[str]] = {}
-    for pragma in pragmas:
-        codes = frozenset(pragma["codes"])
-        for line in pragma["covers"]:
-            supp[line] = supp.get(line, frozenset()) | codes
-    return supp
-
-
-def parse_suppressions(lines: Sequence[str]) -> Dict[int, FrozenSet[str]]:
-    """Map 1-based line number -> codes/families allowed on that line.
-
-    A pragma applies to its own line; if the line holds nothing but the
-    comment, it also applies to the next line.
-    """
-    return suppression_map(parse_pragmas(lines))
-
-
 def covers_code(code: str, allowed) -> bool:
     """True if ``code`` matches any exact code or family prefix."""
     return any(code == a or code.startswith(a) for a in allowed)
-
-
-def is_suppressed(finding: "Finding", supp: Dict[int, FrozenSet[str]]) -> bool:
-    codes = supp.get(finding.line)
-    return bool(codes) and covers_code(finding.code, codes)

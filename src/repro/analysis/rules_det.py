@@ -86,7 +86,6 @@ def _iter_calls(tree: ast.AST) -> Iterable[ast.Call]:
 @register
 class WallClockRule(LintRule):
     code = "DET001"
-    summary = "wall-clock read outside harness.clock"
 
     def check(self, ctx: "ModuleContext") -> List["Finding"]:
         if ctx.module == CLOCK_SHIM_MODULE:
@@ -109,7 +108,6 @@ class WallClockRule(LintRule):
 @register
 class EntropyRule(LintRule):
     code = "DET002"
-    summary = "ambient entropy source"
 
     def check(self, ctx: "ModuleContext") -> List["Finding"]:
         out = []
@@ -132,7 +130,6 @@ class EntropyRule(LintRule):
 @register
 class RngDisciplineRule(LintRule):
     code = "DET003"
-    summary = "RNG constructed or drawn outside sim.rng"
 
     def check(self, ctx: "ModuleContext") -> List["Finding"]:
         if ctx.module == RNG_HOME_MODULE:
@@ -313,7 +310,6 @@ class _ScopeWalker:
 @register
 class SetIterationRule(LintRule):
     code = "DET004"
-    summary = "hash-order iteration over a set"
 
     def check(self, ctx: "ModuleContext") -> List["Finding"]:
         findings: List["Finding"] = []

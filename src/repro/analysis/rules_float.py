@@ -111,7 +111,6 @@ def _walk_scope(body: Iterable[ast.stmt]) -> Iterable[ast.AST]:
 @register
 class UnorderedFloatSumRule(LintRule):
     code = "FLOAT001"
-    summary = "float sum over an unordered iterable in a numeric layer"
 
     def check(self, ctx: "ModuleContext") -> List["Finding"]:
         if ctx.layer not in NUMERIC_LAYERS:

@@ -13,8 +13,11 @@ import the harness (except the ``repro.harness.clock`` shim the
 self-profiler times with), the CLI, the chaos driver, the recorder, or
 the analysis pass.
 
-Imports inside ``if TYPE_CHECKING:`` blocks are annotations-only and are
-exempt.
+Both rules hold over the import graph: a direct forbidden import is
+reported at its statement, and a module that reaches a forbidden one
+through clean-looking intermediates is reported at its first hop's
+import with the witness path. Imports inside ``if TYPE_CHECKING:``
+blocks are annotations-only and are exempt.
 """
 
 from __future__ import annotations
@@ -22,16 +25,10 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterable, List, Tuple
 
-from repro.analysis.registry import (
-    LintRule,
-    ProjectRule,
-    register,
-    register_project,
-)
+from repro.analysis.registry import ProjectRule, register
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.callgraph import Project
-    from repro.analysis.engine import ModuleContext
     from repro.analysis.findings import Finding
 
 KERNEL_LAYERS = ("sim", "buffers", "power", "core", "cpu", "pipeline")
@@ -154,90 +151,8 @@ NUMPY_BANNED_LAYERS = ("sim",)
 _NUMPY_EXEMPT_MODULES = ("repro.sim.rng",)
 
 
-@register
-class NumpyBoundaryRule(LintRule):
-    code = "LAYER002"
-    summary = "numpy import in the scalar DES core"
-
-    def check(self, ctx: "ModuleContext") -> List["Finding"]:
-        if (
-            ctx.module is None
-            or ctx.layer not in NUMPY_BANNED_LAYERS
-            or ctx.module in _NUMPY_EXEMPT_MODULES
-        ):
-            return []
-        out: List["Finding"] = []
-        for stmt in iter_runtime_imports(ctx.tree):
-            for module, node in imported_modules(stmt, ctx.module):
-                if module == "numpy" or module.startswith("numpy."):
-                    out.append(
-                        self.finding(
-                            ctx,
-                            node,
-                            "the DES core (`sim`) must stay scalar python — "
-                            "numpy belongs in `workloads`/`power` and the "
-                            "layers above the kernel (sim.rng excepted)",
-                        )
-                    )
-                    break
-        return out
-
-
-@register
-class LayerBoundaryRule(LintRule):
-    code = "LAYER001"
-    summary = "import crosses the layer boundary matrix"
-
-    def check(self, ctx: "ModuleContext") -> List["Finding"]:
-        if ctx.module is None or ctx.layer is None:
-            return []
-        allowed: Tuple[str, ...] = ()
-        if ctx.layer in KERNEL_LAYERS:
-            forbidden = _KERNEL_FORBIDDEN
-            role = f"kernel layer `{ctx.layer}`"
-        elif ctx.layer == "trace" and ctx.module != RECORDER_MODULE:
-            forbidden = _TRACE_FORBIDDEN
-            role = "trace core"
-        elif ctx.layer == "telemetry":
-            forbidden = _TELEMETRY_FORBIDDEN
-            allowed = _TELEMETRY_ALLOWED
-            role = "telemetry core"
-        else:
-            return []
-        out: List["Finding"] = []
-        seen = set()
-        for stmt in iter_runtime_imports(ctx.tree):
-            for module, node in imported_modules(stmt, ctx.module):
-                if any(
-                    module == ok or module.startswith(ok + ".")
-                    for ok in allowed
-                ):
-                    continue
-                hit = _violates(module, forbidden)
-                if hit and (node.lineno, hit) not in seen:
-                    seen.add((node.lineno, hit))
-                    out.append(
-                        self.finding(
-                            ctx,
-                            node,
-                            f"{role} must not import `{hit}` "
-                            f"(found `{module}`)",
-                        )
-                    )
-        return out
-
-
-# ---------------------------------------------------------------------------
-# reachability upgrades: the matrix over the *transitive* import graph
-# ---------------------------------------------------------------------------
-
-
 def _matrix_for(module: str, layer: str):
-    """(forbidden, allowed, role) for the module, or None if unrestricted.
-
-    The same matrix the direct rules enforce — factored so the
-    transitive project rules can't drift from it.
-    """
+    """(forbidden, allowed, role) for the module, or None if unrestricted."""
     if layer in KERNEL_LAYERS:
         return _KERNEL_FORBIDDEN, (), f"kernel layer `{layer}`"
     if layer == "trace" and module != RECORDER_MODULE:
@@ -247,89 +162,110 @@ def _matrix_for(module: str, layer: str):
     return None
 
 
-@register_project
-class TransitiveLayerRule(ProjectRule):
-    """LAYER001 upgraded from direct imports to reachability.
+@register
+class LayerBoundaryRule(ProjectRule):
+    """LAYER001: the boundary matrix, over direct and transitive imports.
 
     A kernel module that imports a clean-looking sibling which *itself*
     (transitively) imports the harness has crossed the boundary just as
     surely as a direct import — the interpreter loads the harness either
-    way. The finding anchors at the first hop's import statement and
-    spells out the witness path.
+    way. Each crossing is reported once: a witness path whose first hop
+    is itself forbidden belongs to that direct import's finding.
     """
 
     code = "LAYER001"
-    summary = "module transitively reaches a forbidden layer"
 
     def check_project(self, project: "Project") -> List["Finding"]:
         out: List["Finding"] = []
         for facts in project.facts:
-            module, layer = facts["module"], facts["layer"]
-            if not module or not layer:
-                continue
-            matrix = _matrix_for(module, layer)
+            module, path = facts["module"], facts["path"]
+            matrix = _matrix_for(module, facts["layer"])
             if matrix is None:
                 continue
             forbidden, allowed, role = matrix
+            direct = set()
+            for target, line in facts["runtime_imports"]:
+                hit = _violates(target, forbidden)
+                if not hit or _violates(target, allowed) or (line, hit) in direct:
+                    continue
+                direct.add((line, hit))
+                out.append(
+                    self.finding(
+                        path,
+                        line,
+                        1,
+                        f"{role} must not import `{hit}` (found `{target}`)",
+                    )
+                )
             reached = project.reachable_imports(module, skip=allowed)
             flagged = set()
             for target in sorted(reached):
                 hit = _violates(target, forbidden)
-                if not hit:
+                hops = reached[target]
+                if not hit or _violates(hops[0], forbidden):
                     continue
-                path = reached[target]
-                first_hop = path[0]
-                if _violates(first_hop, forbidden):
-                    continue  # the direct rule already owns this one
-                if (first_hop, hit) in flagged:
+                if (hops[0], hit) in flagged:
                     continue
-                flagged.add((first_hop, hit))
+                flagged.add((hops[0], hit))
                 out.append(
                     self.finding(
-                        facts["path"],
-                        project.direct_import_line(module, first_hop),
+                        path,
+                        project.direct_import_line(module, hops[0]),
                         1,
-                        f"{role} reaches `{hit}` via "
-                        f"{' -> '.join(path)} — the boundary matrix "
-                        f"holds transitively",
+                        f"{role} reaches `{hit}` via {' -> '.join(hops)} — "
+                        f"the boundary matrix holds transitively",
                     )
                 )
         return out
 
 
-@register_project
-class TransitiveNumpyRule(ProjectRule):
-    """LAYER002 upgraded to reachability: numpy must not leak into the
-    scalar DES core through a re-export or an intermediate module.
+@register
+class NumpyBoundaryRule(ProjectRule):
+    """LAYER002: numpy must not reach the scalar DES core, whether by a
+    direct import or through a re-export or an intermediate module.
     ``repro.sim.rng`` is the sanctioned numpy boundary, so paths through
     it are not traversed."""
 
     code = "LAYER002"
-    summary = "numpy transitively reaches the scalar DES core"
 
     def check_project(self, project: "Project") -> List["Finding"]:
         out: List["Finding"] = []
         for facts in project.facts:
-            module, layer = facts["module"], facts["layer"]
+            module, path = facts["module"], facts["path"]
             if (
                 not module
-                or layer not in NUMPY_BANNED_LAYERS
+                or facts["layer"] not in NUMPY_BANNED_LAYERS
                 or module in _NUMPY_EXEMPT_MODULES
             ):
                 continue
-            reached = project.reachable_imports(
+            lines = {
+                line
+                for target, line in facts["runtime_imports"]
+                if _violates(target, ("numpy",))
+            }
+            for line in sorted(lines):
+                out.append(
+                    self.finding(
+                        path,
+                        line,
+                        1,
+                        "the DES core (`sim`) must stay scalar python — "
+                        "numpy belongs in `workloads`/`power` and the "
+                        "layers above the kernel (sim.rng excepted)",
+                    )
+                )
+            hops = project.reachable_imports(
                 module, skip=_NUMPY_EXEMPT_MODULES
-            )
-            path = reached.get("numpy")
-            if path is None or len(path) < 2:
-                continue  # unreachable, or direct (LAYER002 local owns it)
+            ).get("numpy")
+            if hops is None or len(hops) < 2:
+                continue  # unreachable, or the direct finding above
             out.append(
                 self.finding(
-                    facts["path"],
-                    project.direct_import_line(module, path[0]),
+                    path,
+                    project.direct_import_line(module, hops[0]),
                     1,
                     f"the scalar DES core reaches numpy via "
-                    f"{' -> '.join(path)} — keep `sim` scalar "
+                    f"{' -> '.join(hops)} — keep `sim` scalar "
                     f"(sim.rng is the sanctioned boundary)",
                 )
             )

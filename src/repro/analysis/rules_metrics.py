@@ -62,7 +62,6 @@ def instrument_name_arg(node: ast.Call) -> Optional[ast.expr]:
 @register
 class RegisteredMetricNameRule(LintRule):
     code = "METRIC001"
-    summary = "metric name literal not in telemetry/names.py"
 
     def check(self, ctx: "ModuleContext") -> List["Finding"]:
         from repro.telemetry.names import REGISTERED_NAMES

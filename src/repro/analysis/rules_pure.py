@@ -62,7 +62,6 @@ def _forbidden_import(module: str, prefixes) -> str:
 @register
 class KernelIORule(LintRule):
     code = "PURE001"
-    summary = "file/network I/O in a kernel layer"
 
     def check(self, ctx: "ModuleContext") -> List["Finding"]:
         if not _is_kernel(ctx):
@@ -101,7 +100,6 @@ class KernelIORule(LintRule):
 @register
 class KernelConcurrencyRule(LintRule):
     code = "PURE002"
-    summary = "thread/process escape hatch in a kernel layer"
 
     def check(self, ctx: "ModuleContext") -> List["Finding"]:
         if not _is_kernel(ctx):
@@ -135,7 +133,6 @@ class KernelConcurrencyRule(LintRule):
 @register
 class EnvironRule(LintRule):
     code = "PURE003"
-    summary = "os.environ read outside harness.params"
 
     def check(self, ctx: "ModuleContext") -> List["Finding"]:
         if ctx.module == PARAMS_MODULE:

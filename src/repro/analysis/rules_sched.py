@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from repro.analysis.registry import ProjectRule, register_project
+from repro.analysis.registry import ProjectRule, register
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.callgraph import Project
@@ -42,10 +42,9 @@ def _sites(project: "Project"):
             yield facts["path"], site
 
 
-@register_project
+@register
 class StaticTieRule(ProjectRule):
     code = "SCHED001"
-    summary = "priority-less schedule that can tie at a shared timestamp"
 
     def check_project(self, project: "Project") -> List["Finding"]:
         out: List["Finding"] = []
@@ -103,10 +102,9 @@ class StaticTieRule(ProjectRule):
         return out
 
 
-@register_project
+@register
 class LoopFanoutTieRule(ProjectRule):
     code = "SCHED002"
-    summary = "priority-less same-timestamp fan-out inside a loop"
 
     def check_project(self, project: "Project") -> List["Finding"]:
         out: List["Finding"] = []

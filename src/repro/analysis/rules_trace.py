@@ -59,7 +59,6 @@ def emission_name_arg(node: ast.Call) -> Optional[ast.expr]:
 @register
 class RegisteredNameRule(LintRule):
     code = "TRACE001"
-    summary = "tracer name literal not in trace/names.py"
 
     def check(self, ctx: "ModuleContext") -> List["Finding"]:
         from repro.trace.names import REGISTERED_NAMES

@@ -8,7 +8,7 @@ and iterated here. This module closes that gap with a bounded
 whole-program taint analysis:
 
 * **Extraction** (:func:`extract_function_facts`): one straight-line
-  walk per function produces a JSON-serializable summary — which taint
+  walk per function produces a plain-dict summary — which taint
   kinds the function returns, which callees feed its return value,
   which parameters flow to its return or into a scheduling sink, which
   instance attributes it taints — plus every taint *sink* (scheduling
@@ -41,7 +41,7 @@ import ast
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.callgraph import attr_ref, local_ref
-from repro.analysis.registry import ProjectRule, register_project
+from repro.analysis.registry import ProjectRule, register
 from repro.analysis.rules_det import (
     _ENTROPY,
     _NUMPY_RNG_CONSTRUCTORS,
@@ -670,10 +670,9 @@ def propagate_returns(project: "Project") -> Dict[str, Set[str]]:
 _KERNEL_SET = frozenset(KERNEL_LAYERS)
 
 
-@register_project
+@register
 class CrossFunctionTaintRule(ProjectRule):
     code = "DET005"
-    summary = "cross-function nondeterminism reaching kernel state or schedule()"
 
     def check_project(self, project: "Project") -> List["Finding"]:
         returns = propagate_returns(project)

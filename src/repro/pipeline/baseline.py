@@ -6,10 +6,10 @@ single-pair implementation (Mutex/Sem/BP/PBP/SPBP) per consumer stage:
 each stage keeps its own fixed buffer and synchronisation discipline,
 and re-produces its drained items into the downstream stages' delivery
 routines via the :attr:`~repro.impls.single.PCImplementation._forward`
-hook. That makes the comparison fair — identical topology, identical
-workload, identical forwarding semantics (origin timestamps carried
-end-to-end) — with only the wakeup discipline differing, which is
-exactly what ``repro pipeline`` scores.
+hook (:class:`_ForwardingStage`). That makes the comparison fair —
+identical topology, identical workload, identical forwarding semantics
+(origin timestamps carried end-to-end) — with only the wakeup
+discipline differing, which is exactly what ``repro pipeline`` scores.
 
 The spinners (BW/Yield) are rejected: a spinning consumer never
 releases its core, so two stages sharing a core could never both run.
@@ -35,12 +35,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _SPINNERS = ("BW", "Yield")
 
 
-def _make_forward(src: PCImplementation, dests: List[PCImplementation]):
-    """Forward a drained batch into every downstream stage's delivery."""
+class _ForwardingStage:
+    """Mixin that makes a single-pair implementation a pipeline stage.
 
-    def forward(batch):
+    Its drained batches go into every downstream stage's delivery
+    routine. The ``_forward`` hook is looked up per batch, as
+    :class:`~repro.pipeline.stage.StageConsumer` does it, rather than
+    stored: a hook kept on the instance would close over the pair, a
+    reference cycle that keeps a finished run alive until the cyclic
+    collector runs.
+    """
+
+    downstreams: Sequence[PCImplementation] = ()
+    backpressure_stalls = 0
+
+    @property
+    def _forward(self):
+        return self._forward_batch if self.downstreams else None
+
+    def _forward_batch(self, batch):
         stalls = 0
-        for dest in dests:
+        for dest in self.downstreams:
             try_deliver = dest.try_deliver
             dstats = dest.stats
             for t in batch:
@@ -51,9 +66,14 @@ def _make_forward(src: PCImplementation, dests: List[PCImplementation]):
                     yield from blocked
                 dstats.produced += 1
         if stalls:
-            src.backpressure_stalls += stalls
+            self.backpressure_stalls += stalls
 
-    return forward
+
+#: Each single-pair implementation with the stage hook mixed in.
+_STAGE_CLASSES = {
+    name: type(f"{cls.__name__}Stage", (_ForwardingStage, cls), {})
+    for name, cls in SINGLE_IMPLEMENTATIONS.items()
+}
 
 
 class BaselinePipelineSystem(MultiPairSystem):
@@ -87,7 +107,7 @@ class BaselinePipelineSystem(MultiPairSystem):
                 f"but {len(traces)} trace(s) were supplied"
             )
         try:
-            impl_cls = SINGLE_IMPLEMENTATIONS[impl]
+            impl_cls = _STAGE_CLASSES[impl]
         except KeyError:
             raise ValueError(
                 f"unknown implementation {impl!r}; "
@@ -125,18 +145,14 @@ class BaselinePipelineSystem(MultiPairSystem):
                 owner=f"consumer-{stage.name}",
             )
             pair.stage = stage
-            pair.backpressure_stalls = 0
             self.stage_pairs[stage.name] = pair
             self.pairs.append(pair)
 
         for stage in stages:
-            pair = self.stage_pairs[stage.name]
-            dests = [
+            self.stage_pairs[stage.name].downstreams = [
                 self.stage_pairs[d.name]
                 for d in topology.downstream(stage.name)
             ]
-            if dests:
-                pair._forward = _make_forward(pair, dests)
 
         self._source_feeds = [
             (

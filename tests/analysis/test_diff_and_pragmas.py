@@ -1,68 +1,10 @@
-"""--diff reverse-dependency cone scoping + pragma list/unused reports."""
+"""Suppression pragmas: comma lists, coverage records, unused reports."""
 
 import json
-import subprocess
 
-from repro.analysis.engine import analyze, main
-from repro.analysis.registry import parse_pragmas, suppression_map
-
-
-def _git(cwd, *args):
-    subprocess.run(
-        ["git", "-c", "user.email=t@t", "-c", "user.name=t", *args],
-        cwd=cwd,
-        check=True,
-        capture_output=True,
-    )
-
-
-def test_diff_reports_dependents_of_changed_files(tmp_path, monkeypatch, capsys):
-    root = tmp_path / "repro"
-    (root / "core").mkdir(parents=True)
-    (root / "sim").mkdir(parents=True)
-    (root / "harness").mkdir(parents=True)
-    helper = root / "core" / "helper.py"
-    helper.write_text("def delta():\n    return 0.5\n", encoding="utf-8")
-    (root / "sim" / "user.py").write_text(
-        "from repro.core.helper import delta\n"
-        "\n"
-        "\n"
-        "def kick(env, event):\n"
-        "    env.schedule(event, delay=delta(), priority=1)\n",
-        encoding="utf-8",
-    )
-    # an unrelated file with its own finding — must NOT appear in --diff
-    (root / "harness" / "other.py").write_text(
-        "import time\nt = time.time()\n", encoding="utf-8"
-    )
-    monkeypatch.chdir(tmp_path)
-    _git(tmp_path, "init", "-q")
-    _git(tmp_path, "add", "-A")
-    _git(tmp_path, "commit", "-qm", "base")
-    # change only the callee; the caller in sim/ gains a DET005
-    helper.write_text(
-        "import time\n"
-        "\n"
-        "\n"
-        "def delta():\n"
-        "    return time.time()  # repro: allow[DET001] -- source\n",
-        encoding="utf-8",
-    )
-    rc = main(["repro", "--no-cache", "--diff", "HEAD", "--format", "json"])
-    assert rc == 1
-    doc = json.loads(capsys.readouterr().out)
-    paths = {f["path"] for f in doc["findings"]}
-    assert any(p.endswith("sim/user.py") for p in paths)
-    assert not any(p.endswith("harness/other.py") for p in paths)
-
-
-def test_diff_bad_ref_exits_two(tmp_path, monkeypatch, capsys):
-    (tmp_path / "repro").mkdir()
-    (tmp_path / "repro" / "ok.py").write_text("x = 1\n", encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    _git(tmp_path, "init", "-q")
-    assert main(["repro", "--no-cache", "--diff", "no-such-ref"]) == 2
-    assert "--diff" in capsys.readouterr().err
+from repro.analysis.engine import analyze
+from repro.analysis.registry import parse_pragmas
+from repro.cli import main
 
 
 def test_pragma_comma_list_suppresses_multiple_codes(lint_snippet):
@@ -86,8 +28,6 @@ def test_pragma_records_track_coverage():
     assert pragmas[0]["codes"] == ["DET001", "LAYER001"]
     assert pragmas[0]["covers"] == [1, 2]
     assert pragmas[1]["covers"] == [3]
-    supp = suppression_map(pragmas)
-    assert supp[2] == frozenset({"DET001", "LAYER001"})
 
 
 def test_unused_suppressions_reported_in_json(tmp_path):
@@ -114,7 +54,7 @@ def test_unused_suppressions_in_cli_json(tmp_path, capsys):
     (root / "stale.py").write_text(
         "# repro: allow[DET001] -- stale\nx = 1\n", encoding="utf-8"
     )
-    assert main([str(tmp_path), "--no-cache", "--format", "json"]) == 0
+    assert main(["lint", str(tmp_path), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["unused_suppressions"] == [
         {

@@ -1,4 +1,5 @@
-"""Transitive LAYER001/LAYER002: the matrix over the import graph."""
+"""LAYER001/LAYER002: the matrix over the import graph, direct and
+transitive imports alike, each crossing reported once."""
 
 
 def _layer(findings, code):
@@ -24,8 +25,8 @@ def test_kernel_reaches_harness_through_intermediate(lint_tree):
 
 
 def test_direct_violation_not_double_reported(lint_tree):
-    """A direct forbidden import is the local rule's finding; the
-    transitive rule must not re-report it."""
+    """A direct forbidden import is reported as such; its own imports
+    must not re-report it as a transitive path."""
     findings = lint_tree(
         {
             "harness/runner.py": "X = 1\n",
@@ -33,7 +34,7 @@ def test_direct_violation_not_double_reported(lint_tree):
         }
     )
     hits = _layer(findings, "LAYER001")
-    assert len(hits) == 1  # exactly one — from the direct rule
+    assert len(hits) == 1  # exactly one — the direct finding
     assert "must not import" in hits[0].message
 
 
@@ -78,3 +79,51 @@ def test_telemetry_clock_shim_skip_holds_transitively(lint_tree):
         for f in _layer(findings, "LAYER001")
         if f.path.endswith("telemetry/prof.py")
     ] == []
+
+
+def test_direct_and_transitive_layer001_each_reported_once(lint_tree):
+    findings = lint_tree(
+        {
+            "harness/runner.py": "X = 1\n",
+            "util/shim.py": "import repro.harness.runner\n",
+            "cli.py": "X = 1\n",
+            "core/user.py": (
+                "import repro.cli\n"
+                "import repro.util.shim\n"
+            ),
+        }
+    )
+    hits = [
+        f
+        for f in _layer(findings, "LAYER001")
+        if f.path.endswith("core/user.py")
+    ]
+    assert [(f.line, f.message.split(" ")[3]) for f in hits] == [
+        (1, "must"),
+        (2, "reaches"),
+    ]
+    assert "must not import `repro.cli`" in hits[0].message
+    assert "repro.util.shim -> repro.harness.runner" in hits[1].message
+
+
+def test_direct_and_transitive_layer002_each_reported_once(lint_tree):
+    findings = lint_tree(
+        {
+            "util/mathy.py": "import numpy\n",
+            "sim/disp.py": (
+                "import numpy as np\n"
+                "import repro.util.mathy\n"
+            ),
+            "sim/fast.py": "import repro.util.mathy\n",
+        }
+    )
+    direct = [
+        f for f in _layer(findings, "LAYER002") if f.path.endswith("sim/disp.py")
+    ]
+    transitive = [
+        f for f in _layer(findings, "LAYER002") if f.path.endswith("sim/fast.py")
+    ]
+    assert [f.line for f in direct] == [1]
+    assert "must stay scalar" in direct[0].message
+    assert [f.line for f in transitive] == [1]
+    assert "repro.util.mathy -> numpy" in transitive[0].message

@@ -3,10 +3,10 @@ telemetry names-table generator, plus the telemetry LAYER branch."""
 
 from pathlib import Path
 
-from repro.analysis.engine import main
 from repro.analysis.rules_metrics import (
     collect_metric_names,
     render_metric_names_module,
+    write_metric_names_module,
 )
 from repro.telemetry.names import REGISTERED_NAMES
 
@@ -80,10 +80,7 @@ def test_generator_renders_committed_format(tmp_path):
         encoding="utf-8",
     )
     out = tmp_path / "names.py"
-    rc = main(
-        [str(tmp_path), "--write-names", "--metric-names-out", str(out)]
-    )
-    assert rc == 0
+    assert write_metric_names_module([tmp_path], out) == {"a_value", "b_total"}
     text = out.read_text(encoding="utf-8")
     assert '"a_value",' in text and '"b_total",' in text
     assert "REGISTERED_NAMES = frozenset(" in text

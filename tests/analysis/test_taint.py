@@ -40,6 +40,29 @@ def test_wall_clock_through_helper_reaches_schedule(lint_tree):
     assert "wall-clock" in hits[0].message
 
 
+def test_wall_clock_helper_in_the_same_kernel_module(lint_tree):
+    """The same flow with helper and caller in one kernel module — the
+    shape the seeded-defect census (DESIGN §14) planted in
+    ``core/consumer.py``."""
+    findings = lint_tree(
+        {
+            "core/consumer.py": (
+                "import time\n"
+                "\n"
+                "\n"
+                "def stamp():\n"
+                "    return time.time()  # repro: allow[DET001] -- harness-side read\n"
+                "\n"
+                "\n"
+                "def kick(env, event):\n"
+                "    env.schedule(event, delay=stamp(), priority=1)\n"
+            ),
+        }
+    )
+    hits = _det005(findings)
+    assert [(f.line, "wall-clock" in f.message) for f in hits] == [(9, True)]
+
+
 def test_clock_shim_values_are_wall_clock_sources(lint_tree):
     """repro.harness.clock is DET001-exempt, but its *values* are host
     time — the flow rule is the only guard on them."""

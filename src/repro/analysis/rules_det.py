@@ -7,7 +7,8 @@ DET003  RNG discipline: stdlib ``random`` is banned outright; numpy
         generator/seed construction is allowed only inside
         ``repro.sim.rng`` (named streams derived from run parameters).
 DET004  iteration over set/frozenset values (or expressions derived from
-        them) without an ordering step — hash order leaks into output.
+        them) without an ordering step — hash order leaks into output,
+        including through ``sum()``'s float rounding.
 """
 
 from __future__ import annotations
@@ -176,7 +177,12 @@ class RngDisciplineRule(LintRule):
 _SET_METHODS = frozenset(
     {"union", "intersection", "difference", "symmetric_difference", "copy"}
 )
-_ORDERED_CONSUMERS = frozenset({"list", "tuple", "iter", "enumerate", "reversed"})
+#: Calls whose result depends on the order they iterate in. ``sum`` is
+#: one: float addition is not associative. ``min``/``max`` are not, on
+#: totally ordered values.
+_ORDERED_CONSUMERS = frozenset(
+    {"list", "tuple", "iter", "enumerate", "reversed", "sum"}
+)
 _SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
 
 

@@ -1,9 +1,10 @@
 """METRIC rule: metric name literals must be registered.
 
-``repro metrics diff`` aligns OpenMetrics snapshots by metric name; a
-typo'd or silently renamed instrument literal would make the drift gate
-lie, exactly like an unregistered trace span name would. Every
-*literal* name passed to an instrument-creation call
+A metric name is the key of every sample line in the byte-compared
+golden snapshot (``results/golden/pbpl_smoke.metrics.prom``); a typo'd
+or silently renamed instrument literal would move that key without any
+registered name saying so, exactly like an unregistered trace span name
+would. Every *literal* name passed to an instrument-creation call
 (``metrics.counter/gauge/histogram``) must therefore appear in the
 generated ``repro/telemetry/names.py`` registry. Regenerate it after
 adding an instrument site::

@@ -14,16 +14,13 @@ Installed as the ``repro`` console script (also ``python -m repro``)::
     repro chaos --scenarios core-kill,cascade  # just these scenarios
     repro trace record -o t.json    # record an event trace (Perfetto JSON)
     repro trace record --stream -o t.jsonl  # spill-to-disk JSONL (full fidelity)
-    repro trace diff a.jsonl b.jsonl  # structural diff: slots/latching/energy
     repro trace report t.jsonl      # terminal flamegraph (self time, joules)
     repro trace report t.jsonl --from 0.3 --to 0.6  # window the report
-    repro trace bless               # regenerate the golden trace matrix
     repro trace --smoke             # CI gate: validate + reconcile a trace
     repro metrics snapshot          # OpenMetrics snapshot + reconciliation
-    repro metrics diff a.prom b.prom   # exit 1 on drift — the CI gate
     repro metrics profile           # deterministic kernel self-profile
-    repro metrics bless             # regenerate the golden metrics snapshot
     repro metrics overhead          # exit 1 if a live registry costs > 15 %
+    repro bless                     # re-record the six goldens in results/golden
 
 Common options (figures): ``--duration``, ``--replicates``, ``--seed``,
 ``--csv FILE`` (raw per-run metrics), ``--out FILE`` (the text figure),
@@ -57,16 +54,44 @@ from repro.harness import (
 )
 
 
+def _positive(kind):
+    """Argparse type for a finite number of ``kind`` above zero, so a bad
+    value exits 2 at parse time with the flag's name in the message."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(
+                f"expected a positive {kind.__name__}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _positive(int)
+_positive_float = _positive(float)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--duration", type=float, default=3.0, help="simulated seconds per run"
+        "--duration",
+        type=_positive_float,
+        default=3.0,
+        help="simulated seconds per run",
     )
     parser.add_argument(
-        "--replicates", type=int, default=3, help="replicates per cell"
+        "--replicates", type=_positive_int, default=3, help="replicates per cell"
     )
     parser.add_argument("--seed", type=int, default=2014, help="experiment seed")
     parser.add_argument(
-        "--rate", type=float, default=2200.0, help="mean items/s per producer"
+        "--rate",
+        type=_positive_float,
+        default=2200.0,
+        help="mean items/s per producer",
     )
     parser.add_argument(
         "--out", type=Path, default=None, help="also write the text figure here"
@@ -79,7 +104,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker processes for run dispatch (default: $REPRO_JOBS or 1; "
         "output is byte-identical for any value)",
@@ -400,12 +425,6 @@ def cmd_trace_record(args: argparse.Namespace) -> int:
             print(f"trace record: {problem}", file=sys.stderr)
             return 2
     info = sys.stderr if to_stdout else sys.stdout
-    if args.rotate_mb is not None and not args.stream:
-        print(
-            "trace record: --rotate-mb only applies to --stream output",
-            file=sys.stderr,
-        )
-        return 2
 
     writer = None
     if args.stream:
@@ -417,21 +436,8 @@ def cmd_trace_record(args: argparse.Namespace) -> int:
             n_consumers=args.consumers,
             capacity=args.capacity,
         )
-        if args.rotate_mb is not None and to_stdout:
-            print(
-                "trace record: --rotate-mb needs a file output "
-                "(rotation renames the active file)",
-                file=sys.stderr,
-            )
-            return 2
         writer = StreamingTraceWriter(
-            sys.stdout if to_stdout else args.output,
-            meta=meta,
-            rotate_bytes=(
-                int(args.rotate_mb * 1024 * 1024)
-                if args.rotate_mb is not None
-                else None
-            ),
+            sys.stdout if to_stdout else args.output, meta=meta
         )
     run = record_run(
         args.impl,
@@ -475,13 +481,6 @@ def cmd_trace_record(args: argparse.Namespace) -> int:
             f"even past the {args.capacity}-event ring)",
             file=info,
         )
-        if writer.segments_rotated:
-            print(
-                f"rotated {writer.segments_rotated} gzip segment(s) "
-                f"({where}.1.gz ...); `repro trace` reads the sequence "
-                f"transparently",
-                file=info,
-            )
     elif not to_stdout:
         print(
             f"wrote {args.output} — open in https://ui.perfetto.dev "
@@ -493,129 +492,70 @@ def cmd_trace_record(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The primary golden-trace recording spec (kept by name for backward
-#: compatibility; one entry of :data:`GOLDEN_SPECS`). Short enough to
-#: run in seconds, long enough to exercise latching, resizing and both
-#: cores.
-GOLDEN_SPEC = dict(
-    impl="PBPL",
-    scenario="webserver",
-    duration_s=0.3,
-    n_consumers=3,
-    seed=2014,
-)
+#: What every golden run shares: short enough that blessing all of them
+#: takes about a second, long enough to exercise latching, resizing and
+#: both cores. Pipeline scenarios size themselves from their topology's
+#: stages, so for them ``n_consumers`` is only recorded in the header.
+_GOLDEN_RUN = dict(duration_s=0.3, n_consumers=3, seed=2014)
 
-#: The golden-trace matrix: what `repro trace bless` records and what
-#: the CI trace-regression job re-records to diff against. Beyond the
-#: PBPL webserver smoke, a chaos scenario (fault spans, degradation
-#: under stress) and a baseline implementation (power listener + fault
-#: timeline only) are pinned, so drift in any of the three surfaces.
-GOLDEN_SPECS = {
-    "pbpl_smoke": GOLDEN_SPEC,
-    "chaos_combined": dict(
-        impl="PBPL",
-        scenario="combined",
-        duration_s=0.3,
-        n_consumers=3,
-        seed=2014,
-    ),
-    "mutex_smoke": dict(
-        impl="Mutex",
-        scenario="webserver",
-        duration_s=0.3,
-        n_consumers=3,
-        seed=2014,
-    ),
-    "pipeline_telemetry": dict(
-        impl="PBPL",
-        scenario="pipeline-clean",
-        duration_s=0.3,
-        n_consumers=3,  # overridden by the topology's consumer stages
-        seed=2014,
-    ),
-    "pipeline_burst": dict(
-        impl="PBPL",
-        scenario="pipeline-burst",
-        duration_s=0.3,
-        n_consumers=3,  # overridden by the topology's consumer stages
-        seed=2014,
-    ),
+#: The goldens in ``results/golden/``: name -> run spec. The spec is the
+#: ``record_run`` arguments, which the trace header also records, plus
+#: ``metrics``. Each run writes ``<name>.trace.jsonl``; with
+#: ``metrics=True`` the same run carries a metrics registry and also
+#: writes ``<name>.metrics.prom``. Beyond the PBPL webserver smoke, a
+#: chaos scenario (fault spans, degradation under stress), a baseline
+#: implementation (power listener and fault timeline only) and two
+#: pipelines are pinned.
+GOLDENS = {
+    "pbpl_smoke": dict(impl="PBPL", scenario="webserver", metrics=True, **_GOLDEN_RUN),
+    "chaos_combined": dict(impl="PBPL", scenario="combined", **_GOLDEN_RUN),
+    "mutex_smoke": dict(impl="Mutex", scenario="webserver", **_GOLDEN_RUN),
+    "pipeline_telemetry": dict(impl="PBPL", scenario="pipeline-clean", **_GOLDEN_RUN),
+    "pipeline_burst": dict(impl="PBPL", scenario="pipeline-burst", **_GOLDEN_RUN),
 }
 
-#: Where the blessed golden traces live in the repository.
+#: Where the blessed goldens live in the repository.
 GOLDEN_DIR = Path("results/golden")
 
 
-def golden_path(name: str, directory: Path = GOLDEN_DIR) -> Path:
-    return directory / f"{name}.trace.jsonl"
+def cmd_bless(args: argparse.Namespace) -> int:
+    """Record every golden in :data:`GOLDENS` into ``--out-dir``.
 
-
-#: Backward-compatible alias for the primary golden's location.
-GOLDEN_TRACE_PATH = golden_path("pbpl_smoke")
-
-
-def _record_golden(output: Path, spec: Optional[dict] = None) -> None:
-    """Record one golden spec's run as streaming JSONL at ``output``."""
+    Run after an *intentional* behaviour change and commit the result
+    with its reason. CI and the tier-1 golden test bless into a scratch
+    directory and byte-compare each file with ``results/golden/``."""
+    from repro.telemetry import MetricsRegistry, to_openmetrics
     from repro.trace import StreamingTraceWriter, record_run
 
-    spec = spec or GOLDEN_SPEC
-    writer = StreamingTraceWriter(output, meta=dict(spec))
-    run = record_run(
-        spec["impl"],
-        spec["scenario"],
-        duration_s=spec["duration_s"],
-        n_consumers=spec["n_consumers"],
-        seed=spec["seed"],
-        stream=writer,
-    )
-    writer.close(
-        dropped=run.tracer.dropped_events, ledger_total_j=run.ledger_total_j
-    )
-
-
-def cmd_trace_bless(args: argparse.Namespace) -> int:
-    """Regenerate the golden trace(s) the CI regression gate diffs
-    against.
-
-    Run after an *intentional* behaviour change, commit the result, and
-    explain the drift in the PR — that is the whole review story the
-    diff gate enforces. Default blesses the full matrix into
-    ``results/golden/``; ``--name`` picks one golden, and ``-o``
-    (single golden only) or ``--out-dir`` redirect the output — the CI
-    job uses ``--out-dir`` to record fresh traces next to the committed
-    ones."""
-    names = list(GOLDEN_SPECS) if args.name == "all" else [args.name]
-    if args.output is not None and len(names) != 1:
-        print(
-            "trace bless: -o/--output needs --name NAME (a single golden); "
-            "use --out-dir to redirect the whole matrix",
-            file=sys.stderr,
-        )
+    problem = _check_writable(args.out_dir / "golden")
+    if problem is not None:
+        print(f"bless: {problem}", file=sys.stderr)
         return 2
-    for name in names:
-        out = (
-            args.output
-            if args.output is not None
-            else golden_path(name, args.out_dir)
+    for name, spec in GOLDENS.items():
+        run_spec = {k: v for k, v in spec.items() if k != "metrics"}
+        registry = None
+        if spec.get("metrics"):
+            registry = MetricsRegistry(
+                const_labels={"impl": spec["impl"], "scenario": spec["scenario"]}
+            )
+        trace_path = args.out_dir / f"{name}.trace.jsonl"
+        writer = StreamingTraceWriter(trace_path, meta=run_spec)
+        run = record_run(**run_spec, stream=writer, metrics=registry)
+        writer.close(
+            dropped=run.tracer.dropped_events, ledger_total_j=run.ledger_total_j
         )
-        problem = _check_writable(out)
-        if problem is not None:
-            print(f"trace bless: {problem}", file=sys.stderr)
-            return 2
-        _record_golden(out, GOLDEN_SPECS[name])
-        spec = ", ".join(f"{k}={v}" for k, v in GOLDEN_SPECS[name].items())
-        print(f"blessed {out} ({spec})")
-    print("commit these files; `repro trace diff` gates CI against them")
+        written = [trace_path]
+        if registry is not None:
+            prom_path = args.out_dir / f"{name}.metrics.prom"
+            prom_path.write_text(to_openmetrics(registry.snapshot()), encoding="utf-8")
+            written.append(prom_path)
+        desc = ", ".join(f"{k}={v}" for k, v in run_spec.items())
+        print(f"blessed {' + '.join(map(str, written))} ({desc})")
     return 0
 
 
-def _load_jsonl_events(path: Path, require_footer: bool = False):
-    """Events from a JSONL trace; unreadable input exits 2 cleanly.
-
-    ``require_footer`` additionally treats a trace whose footer record
-    is missing (the writing run was killed after its last complete
-    event line) as truncated.
-    """
+def _load_jsonl_events(path: Path):
+    """Events from a JSONL trace; unreadable input exits 2 cleanly."""
     from repro.trace import TraceReader, TraceSchemaError, TraceTruncatedError
 
     try:
@@ -630,43 +570,7 @@ def _load_jsonl_events(path: Path, require_footer: bool = False):
     except TraceSchemaError as exc:
         print(f"trace: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
-    if require_footer and reader.footer is None:
-        print(
-            f"trace: {path}: truncated trace — no footer record (was the "
-            f"writing run killed?)",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
     return events, reader
-
-
-def cmd_trace_diff(args: argparse.Namespace) -> int:
-    """Structurally diff two JSONL traces; non-zero exit on drift.
-
-    Reports which consumers lost/gained latching, which reserved slots
-    appeared/disappeared, and how energy moved between phases (deltas
-    above ``--threshold-j``). Exit 0 = no drift, 1 = drift (the CI
-    gate), 2 = unreadable input."""
-    import json as json_mod
-
-    from repro.trace import diff_events
-
-    events_a, _ = _load_jsonl_events(args.trace_a, require_footer=True)
-    events_b, _ = _load_jsonl_events(args.trace_b, require_footer=True)
-    diff = diff_events(
-        events_a, events_b, energy_threshold_j=args.threshold_j
-    )
-    if args.json:
-        print(json_mod.dumps(diff.to_dict(), sort_keys=True, indent=2))
-    else:
-        print(diff.render())
-    if not diff.is_empty and not args.json:
-        print(
-            "trace diff: drift detected — if intentional, re-bless the "
-            "golden (`repro trace bless`) and commit it",
-            file=sys.stderr,
-        )
-    return 0 if diff.is_empty else 1
 
 
 def _window_events(events, from_s: Optional[float], to_s: Optional[float]):
@@ -774,12 +678,6 @@ def cmd_trace_smoke(args: argparse.Namespace) -> int:
 
 # -- metrics commands --------------------------------------------------------------
 
-#: Where the blessed golden metrics snapshot lives (diffed by the CI
-#: ``metrics-smoke`` job; re-bless with ``repro metrics bless``).
-def metrics_golden_path(directory: Path = GOLDEN_DIR) -> Path:
-    return directory / "pbpl_smoke.metrics.prom"
-
-
 def _metrics_record(args: argparse.Namespace, profiler=None):
     """Run the requested impl × scenario with a live registry attached;
     returns ``(run, registry)``."""
@@ -853,39 +751,6 @@ def cmd_metrics_snapshot(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_metrics_diff(args: argparse.Namespace) -> int:
-    """Compare two OpenMetrics snapshots sample-by-sample; exit 1 on
-    drift above the thresholds (the CI metrics gate), 2 on unreadable
-    input."""
-    from repro.telemetry import MetricsParseError, diff_openmetrics
-
-    texts = []
-    for path in (args.prom_a, args.prom_b):
-        try:
-            texts.append(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            print(f"metrics diff: {path}: {exc}", file=sys.stderr)
-            return 2
-    try:
-        diff = diff_openmetrics(
-            texts[0],
-            texts[1],
-            rel_tol=args.threshold_rel,
-            abs_tol=args.threshold_abs,
-        )
-    except MetricsParseError as exc:
-        print(f"metrics diff: {exc}", file=sys.stderr)
-        return 2
-    print(diff.render())
-    if diff.drifted:
-        print(
-            "metrics diff: drift detected — if intentional, re-bless the "
-            "golden (`repro metrics bless`) and commit it",
-            file=sys.stderr,
-        )
-    return 1 if diff.drifted else 0
-
-
 def cmd_metrics_profile(args: argparse.Namespace) -> int:
     """Drive the run through the self-profiling event loop and print the
     top-N hot-spot table (dispatches + measured self-time per event type
@@ -901,37 +766,6 @@ def cmd_metrics_profile(args: argparse.Namespace) -> int:
         f"{run.duration_s:g}s simulated"
     )
     _emit_simple(args, title + "\n\n" + report.render(top=args.top))
-    return 0
-
-
-def cmd_metrics_bless(args: argparse.Namespace) -> int:
-    """Regenerate the golden OpenMetrics snapshot the CI metrics gate
-    diffs against (the PBPL webserver smoke — same spec as the primary
-    golden trace). Commit the result after intentional drift."""
-    from repro.telemetry import MetricsRegistry, to_openmetrics
-    from repro.trace import record_run
-
-    spec = GOLDEN_SPEC
-    out = args.output or metrics_golden_path(args.out_dir)
-    problem = _check_writable(out)
-    if problem is not None:
-        print(f"metrics bless: {problem}", file=sys.stderr)
-        return 2
-    registry = MetricsRegistry(
-        const_labels={"impl": spec["impl"], "scenario": spec["scenario"]}
-    )
-    record_run(
-        spec["impl"],
-        spec["scenario"],
-        duration_s=spec["duration_s"],
-        n_consumers=spec["n_consumers"],
-        seed=spec["seed"],
-        metrics=registry,
-    )
-    out.write_text(to_openmetrics(registry.snapshot()), encoding="utf-8")
-    desc = ", ".join(f"{k}={v}" for k, v in spec.items())
-    print(f"blessed {out} ({desc})")
-    print("commit this file; `repro metrics diff` gates CI against it")
     return 0
 
 
@@ -970,7 +804,7 @@ def cmd_trace_default(args: argparse.Namespace) -> int:
     if args.smoke:
         return cmd_trace_smoke(args)
     print(
-        "repro trace: choose a subcommand (record/diff/report/bless) "
+        "repro trace: choose a subcommand (record/report) "
         "or pass --smoke",
         file=sys.stderr,
     )
@@ -996,8 +830,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig9", help="Figure 9: 4 implementations, N consumers")
     _add_common(p)
     _add_jobs(p)
-    p.add_argument("--consumers", type=int, default=5)
-    p.add_argument("--buffer", type=int, default=25)
+    p.add_argument("--consumers", type=_positive_int, default=5)
+    p.add_argument("--buffer", type=_positive_int, default=25)
     p.set_defaults(func=cmd_fig9)
 
     p = sub.add_parser("fig10", help="Figure 10: consumer-count sweep")
@@ -1047,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("accounting", help="§VI-C wakeup accounting scalars")
     _add_common(p)
     _add_jobs(p)
-    p.add_argument("--buffer", type=int, default=25)
+    p.add_argument("--buffer", type=_positive_int, default=25)
     p.set_defaults(func=cmd_accounting)
 
     p = sub.add_parser("sanity", help="the paper's §III-C1 rig checks")
@@ -1062,7 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
     _add_jobs(p)
-    p.add_argument("--consumers", type=int, default=4)
+    p.add_argument("--consumers", type=_positive_int, default=4)
     p.add_argument(
         "--smoke",
         action="store_true",
@@ -1106,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_all)
 
     trace = sub.add_parser(
-        "trace", help="event traces: record, diff, report, bless"
+        "trace", help="event traces: record, report"
     )
     trace.add_argument(
         "--smoke",
@@ -1139,8 +973,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(stall, lost-signals, burst, clock-drift, slowdown, "
         "contention, combined, core-kill, cascade)",
     )
-    p.add_argument("--duration", type=float, default=2.0)
-    p.add_argument("--consumers", type=int, default=4)
+    p.add_argument("--duration", type=_positive_float, default=2.0)
+    p.add_argument("--consumers", type=_positive_int, default=4)
     p.add_argument("--seed", type=int, default=2014)
     p.add_argument(
         "-o",
@@ -1153,20 +987,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream",
         action="store_true",
         help="write incremental JSONL during the run (full fidelity even "
-        "when the ring buffer overflows; diffable with `repro trace diff`)",
-    )
-    p.add_argument(
-        "--rotate-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="with --stream: rotate the JSONL file into gzip segments "
-        "(<out>.1.gz, <out>.2.gz, ...) every MB megabytes; readers "
-        "reassemble the sequence transparently",
+        "when the ring buffer overflows; readable by `repro trace report`)",
     )
     p.add_argument(
         "--capacity",
-        type=int,
+        type=_positive_int,
         default=1_000_000,
         help="in-memory ring-buffer capacity in events (the JSONL stream "
         "is not bounded by it)",
@@ -1175,25 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--text", type=Path, default=None, help="also write a text timeline here"
     )
     p.set_defaults(func=cmd_trace_record)
-
-    p = tsub.add_parser(
-        "diff",
-        help="structurally diff two JSONL traces (slots, latching, energy "
-        "per phase); exit 1 on drift — the CI regression gate",
-    )
-    p.add_argument("trace_a", type=Path, help="baseline JSONL trace")
-    p.add_argument("trace_b", type=Path, help="candidate JSONL trace")
-    p.add_argument(
-        "--threshold-j",
-        type=float,
-        default=0.0,
-        help="ignore per-phase energy deltas at or below this many joules "
-        "(default 0: bit-exact)",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="emit the diff as JSON"
-    )
-    p.set_defaults(func=cmd_trace_diff)
 
     p = tsub.add_parser(
         "report",
@@ -1223,57 +1029,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_trace_report)
 
-    p = tsub.add_parser(
-        "bless",
-        help="re-record the golden trace matrix the CI diff gate "
-        "compares against",
-    )
-    p.add_argument(
-        "--name",
-        choices=("all",) + tuple(GOLDEN_SPECS),
-        default="all",
-        help="which golden to bless (default: the whole matrix)",
-    )
-    p.add_argument(
-        "--out-dir",
-        type=Path,
-        default=GOLDEN_DIR,
-        help=f"directory for the blessed traces (default {GOLDEN_DIR})",
-    )
-    p.add_argument(
-        "-o",
-        "--output",
-        type=Path,
-        default=None,
-        help="explicit output path (single golden only, with --name)",
-    )
-    p.set_defaults(func=cmd_trace_bless)
-
     metrics = sub.add_parser(
         "metrics",
         help="typed instruments over the DES: snapshots, OpenMetrics "
-        "export, drift diffs, kernel self-profile",
+        "export, kernel self-profile, registry overhead",
     )
     msub = metrics.add_subparsers(dest="metrics_command", required=True)
+
+    # The defaults are the pbpl_smoke golden's run.
+    smoke = GOLDENS["pbpl_smoke"]
 
     def _add_metrics_run_args(mp: argparse.ArgumentParser) -> None:
         mp.add_argument(
             "--impl",
-            default=GOLDEN_SPEC["impl"],
+            default=smoke["impl"],
             help="implementation: PBPL or a §III name (Mutex, Sem, BP, ...)",
         )
         mp.add_argument(
             "--scenario",
-            default=GOLDEN_SPEC["scenario"],
+            default=smoke["scenario"],
             help="webserver, clean, or any chaos scenario name",
         )
         mp.add_argument(
-            "--duration", type=float, default=GOLDEN_SPEC["duration_s"]
+            "--duration", type=_positive_float, default=smoke["duration_s"]
         )
         mp.add_argument(
-            "--consumers", type=int, default=GOLDEN_SPEC["n_consumers"]
+            "--consumers", type=_positive_int, default=smoke["n_consumers"]
         )
-        mp.add_argument("--seed", type=int, default=GOLDEN_SPEC["seed"])
+        mp.add_argument("--seed", type=int, default=smoke["seed"])
 
     p = msub.add_parser(
         "snapshot",
@@ -1291,27 +1074,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_metrics_snapshot)
 
     p = msub.add_parser(
-        "diff",
-        help="compare two OpenMetrics snapshots sample-by-sample; "
-        "exit 1 on drift — the CI metrics gate",
-    )
-    p.add_argument("prom_a", type=Path, help="baseline .prom snapshot")
-    p.add_argument("prom_b", type=Path, help="candidate .prom snapshot")
-    p.add_argument(
-        "--threshold-rel",
-        type=float,
-        default=0.0,
-        help="relative drift tolerance per sample (default 0: bit-exact)",
-    )
-    p.add_argument(
-        "--threshold-abs",
-        type=float,
-        default=0.0,
-        help="absolute drift tolerance per sample (default 0)",
-    )
-    p.set_defaults(func=cmd_metrics_diff)
-
-    p = msub.add_parser(
         "profile",
         help="drive the run through the self-profiling event loop; "
         "top-N event-dispatch hot spots with measured self-time",
@@ -1324,31 +1086,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_metrics_profile)
 
     p = msub.add_parser(
-        "bless",
-        help="re-record the golden OpenMetrics snapshot the CI metrics "
-        "gate diffs against",
-    )
-    p.add_argument(
-        "--out-dir",
-        type=Path,
-        default=GOLDEN_DIR,
-        help=f"directory for the blessed snapshot (default {GOLDEN_DIR})",
-    )
-    p.add_argument(
-        "-o",
-        "--output",
-        type=Path,
-        default=None,
-        help="explicit output path (overrides --out-dir)",
-    )
-    p.set_defaults(func=cmd_metrics_bless)
-
-    p = msub.add_parser(
         "overhead",
         help="paired timing of the PBPL smoke with a live registry vs the "
         "disabled default; exit 1 above the 15%% tolerance",
     )
     p.set_defaults(func=cmd_metrics_overhead)
+
+    p = sub.add_parser(
+        "bless",
+        help="re-record every golden trace and metrics snapshot "
+        "(after an intentional behaviour change)",
+    )
+    p.add_argument(
+        "--out-dir",
+        type=Path,
+        default=GOLDEN_DIR,
+        help=f"directory for the goldens (default {GOLDEN_DIR})",
+    )
+    p.set_defaults(func=cmd_bless)
 
     p = sub.add_parser(
         "lint",

@@ -23,13 +23,7 @@ The package also hosts the deterministic DES self-profiler
 while timing every callback through the ``harness/clock`` shim.
 """
 
-from repro.telemetry.export import (
-    MetricsDiff,
-    MetricsParseError,
-    diff_openmetrics,
-    parse_openmetrics,
-    to_openmetrics,
-)
+from repro.telemetry.export import to_openmetrics
 from repro.telemetry.instruments import Counter, Gauge, Histogram
 from repro.telemetry.names import REGISTERED_NAMES
 from repro.telemetry.reconcile import (
@@ -71,8 +65,6 @@ __all__ = [
     "Histogram",
     "HotSpot",
     "KernelProfiler",
-    "MetricsDiff",
-    "MetricsParseError",
     "MetricsRegistry",
     "MetricsSnapshot",
     "NULL_REGISTRY",
@@ -83,8 +75,6 @@ __all__ = [
     "ReconcileCheck",
     "TumblingWindows",
     "WindowFrame",
-    "diff_openmetrics",
-    "parse_openmetrics",
     "reconcile_core_wakeups",
     "reconcile_energy",
     "render_checks",

@@ -32,18 +32,11 @@ from repro.trace.aggregate import (
     render_report,
     wakeup_causes,
 )
-from repro.trace.diff import (
-    TraceDiff,
-    TraceStructure,
-    diff_events,
-    extract_structure,
-)
 from repro.trace.energy import (
     SpanEnergy,
     attribute_span,
     attribute_spans,
     consumer_energy_table,
-    energy_by_phase,
     energy_by_track,
     reconcile,
     trace_energy_j,
@@ -97,13 +90,11 @@ __all__ = [
     "SpanAggregate",
     "SpanEnergy",
     "StreamingTraceWriter",
-    "TraceDiff",
     "TraceEvent",
     "TracePowerListener",
     "TraceQuery",
     "TraceReader",
     "TraceSchemaError",
-    "TraceStructure",
     "TraceTruncatedError",
     "Tracer",
     "WakeupCause",
@@ -115,10 +106,7 @@ __all__ = [
     "clip_span",
     "consumer_energy_table",
     "core_track",
-    "diff_events",
-    "energy_by_phase",
     "energy_by_track",
-    "extract_structure",
     "read_trace",
     "reconcile",
     "record_run",

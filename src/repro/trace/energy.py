@@ -21,7 +21,7 @@ answers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.trace.power import RESIDENCY, WAKEUP
 from repro.trace.query import TraceQuery
@@ -51,25 +51,6 @@ def energy_by_track(query: TraceQuery) -> Dict[str, float]:
 def reconcile(query: TraceQuery, ledger_total_j: float) -> float:
     """Absolute difference between trace energy and the ledger total."""
     return abs(trace_energy_j(query) - ledger_total_j)
-
-
-def energy_by_phase(query: TraceQuery) -> Dict[Tuple[str, str], float]:
-    """Joules per ``(track, phase-name)`` — the differ's energy view.
-
-    A "phase" is a residency span name on a core track (``active``,
-    ``C1-WFI``, ...) or the synthetic ``wakeup`` bucket collecting that
-    track's ω charges. Summing the values reproduces
-    :func:`trace_energy_j` exactly, so a diff over this map catches any
-    energy that *moved between phases* even when the total is flat.
-    """
-    out: Dict[Tuple[str, str], float] = {}
-    for e in query.spans(category=RESIDENCY):
-        key = (e.track, e.name)
-        out[key] = out.get(key, 0.0) + e.args.get("energy_j", 0.0)
-    for e in query.instants(category=WAKEUP):
-        key = (e.track, "wakeup")
-        out[key] = out.get(key, 0.0) + e.args.get("energy_j", 0.0)
-    return out
 
 
 @dataclass

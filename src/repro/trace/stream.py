@@ -32,9 +32,7 @@ the meaning of an existing field bumps the major.
 
 from __future__ import annotations
 
-import gzip
 import json
-import shutil
 import sys
 from pathlib import Path
 from typing import IO, Any, Dict, Iterator, List, Optional, Tuple, Union
@@ -126,17 +124,6 @@ class StreamingTraceWriter:
         A path (``"-"`` for stdout) or an open text file object.
     meta:
         Run provenance stored in the header (impl, scenario, seed, ...).
-    rotate_bytes:
-        Size-based rotation threshold (path targets only). When the
-        active file reaches this many bytes at a line boundary, it is
-        gzip-compressed into the next numbered segment
-        (``<path>.1.gz``, ``<path>.2.gz``, ...) and truncated, so an
-        unbounded run's working set stays ~``rotate_bytes`` of plain
-        text plus compressed history. The header appears only in the
-        first segment and the footer only in the final (active) file;
-        :class:`TraceReader` reassembles the sequence transparently.
-        Segments are written with a zeroed gzip mtime, so rotated runs
-        stay byte-reproducible.
 
     Usage::
 
@@ -154,72 +141,28 @@ class StreamingTraceWriter:
         self,
         target: Union[str, Path, IO[str]],
         meta: Optional[Dict[str, Any]] = None,
-        rotate_bytes: Optional[int] = None,
     ) -> None:
         self._owns_file = False
-        self._path: Optional[Path] = None
         if hasattr(target, "write"):
-            self._file: Optional[IO[str]] = target  # type: ignore[assignment]
+            self._file: IO[str] = target  # type: ignore[assignment]
         elif str(target) == "-":
             self._file = sys.stdout
         else:
-            self._path = Path(target)
-            self._file = self._path.open("w", encoding="utf-8")
+            self._file = Path(target).open("w", encoding="utf-8")
             self._owns_file = True
-        if rotate_bytes is not None:
-            if self._path is None:
-                raise ValueError(
-                    "rotate_bytes requires a filesystem path target "
-                    "(rotation renames the active file)"
-                )
-            if rotate_bytes <= 0:
-                raise ValueError(f"rotate_bytes must be positive: {rotate_bytes}")
-        self._rotate_bytes = rotate_bytes
-        #: Compressed segments rotated out so far.
-        self.segments_rotated = 0
-        self._segment_bytes = 0
         self.events_written = 0
         self._closed = False
-        self._write_line(_header_line(meta))
+        self._file.write(_header_line(meta))
 
     def attach(self, tracer: Tracer) -> "StreamingTraceWriter":
         """Register on ``tracer`` so every appended event streams out."""
         tracer.add_sink(self.write_event)
         return self
 
-    def _write_line(self, line: str) -> None:
-        self._file.write(line)
-        # The JSON is ASCII (ensure_ascii), so len() is the byte count.
-        self._segment_bytes += len(line)
-        if (
-            self._rotate_bytes is not None
-            and self._segment_bytes >= self._rotate_bytes
-        ):
-            self._rotate()
-
-    def _rotate(self) -> None:
-        """Compress the active file into the next segment and truncate."""
-        self._file.flush()
-        self._file.close()
-        self.segments_rotated += 1
-        segment = self._path.with_name(
-            f"{self._path.name}.{self.segments_rotated}.gz"
-        )
-        with self._path.open("rb") as src, segment.open("wb") as raw:
-            # mtime=0 and filename="" keep the segment bytes independent
-            # of wall-clock and output path, so rotated traces stay
-            # byte-reproducible run-to-run.
-            with gzip.GzipFile(
-                filename="", fileobj=raw, mode="wb", mtime=0
-            ) as gz:
-                shutil.copyfileobj(src, gz)
-        self._file = self._path.open("w", encoding="utf-8")
-        self._segment_bytes = 0
-
     def write_event(self, event: TraceEvent) -> None:
         if self._closed:
             raise ValueError("write_event() on a closed StreamingTraceWriter")
-        self._write_line(event_line(event))
+        self._file.write(event_line(event))
         self.events_written += 1
 
     def close(self, **footer_fields: Any) -> None:
@@ -255,43 +198,16 @@ class TraceReader:
     :attr:`footer`. Rejects traces written by a newer *major* schema
     with :class:`TraceSchemaError` — forward-compatible within a major
     (unknown minor additions are ignored), never across one.
-
-    A trace rotated by :class:`StreamingTraceWriter` (gzip segments
-    ``<path>.1.gz``, ``<path>.2.gz``, ... next to the active file) is
-    read transparently as one logical stream, segments first in order,
-    the active file last.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self.footer: Optional[Dict[str, Any]] = None
-        self.parts = self._discover_parts()
-        with self._open_part(self.parts[0]) as fh:
+        with self.path.open("r", encoding="utf-8") as fh:
             first = fh.readline()
         self.header = self._parse_header(first)
         meta = self.header.get("meta")
         self.meta: Dict[str, Any] = meta if isinstance(meta, dict) else {}
-
-    def _discover_parts(self) -> List[Path]:
-        """The file sequence: rotated ``.k.gz`` segments, then ``path``."""
-        if not self.path.exists():
-            raise FileNotFoundError(self.path)
-        parts: List[Path] = []
-        k = 1
-        while True:
-            segment = self.path.with_name(f"{self.path.name}.{k}.gz")
-            if not segment.exists():
-                break
-            parts.append(segment)
-            k += 1
-        parts.append(self.path)
-        return parts
-
-    @staticmethod
-    def _open_part(part: Path) -> IO[str]:
-        if part.suffix == ".gz":
-            return gzip.open(part, "rt", encoding="utf-8")
-        return part.open("r", encoding="utf-8")
 
     def _parse_header(self, line: str) -> Dict[str, Any]:
         try:
@@ -319,33 +235,21 @@ class TraceReader:
             )
         return header
 
-    def _iter_lines(self) -> Iterator[Tuple[Path, int, str]]:
-        """``(part, lineno, line)`` across the whole logical stream,
-        skipping the header line (the first line of the first part)."""
-        first = True
-        for part in self.parts:
-            with self._open_part(part) as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    if first:
-                        first = False
-                        continue
-                    yield part, lineno, line
-
     def iter_events(self) -> Iterator[TraceEvent]:
         """Yield events in file (emission) order; capture the footer."""
-        # One line of lookahead: only the *final* line of the stream may
-        # legally be unparseable (a run killed mid-write).
-        pending: Optional[Tuple[Path, int, str]] = None
-        for item in self._iter_lines():
+        with self.path.open("r", encoding="utf-8") as fh:
+            next(fh, None)  # the header, parsed at construction
+            # One line of lookahead: only the *final* line may legally be
+            # unparseable (a run killed mid-write).
+            pending: Optional[Tuple[int, str]] = None
+            for item in enumerate(fh, start=2):
+                if pending is not None:
+                    yield from self._decode(*pending, is_last=False)
+                pending = item
             if pending is not None:
-                yield from self._decode(*pending, is_last=False)
-            pending = item
-        if pending is not None:
-            yield from self._decode(*pending, is_last=True)
+                yield from self._decode(*pending, is_last=True)
 
-    def _decode(
-        self, part: Path, lineno: int, line: str, is_last: bool
-    ) -> Iterator[TraceEvent]:
+    def _decode(self, lineno: int, line: str, is_last: bool) -> Iterator[TraceEvent]:
         if not line.strip():
             return
         try:
@@ -353,11 +257,11 @@ class TraceReader:
         except json.JSONDecodeError as exc:
             if is_last:
                 raise TraceTruncatedError(
-                    f"{part}:{lineno}: truncated trace — the final line "
+                    f"{self.path}:{lineno}: truncated trace — the final line "
                     f"is incomplete (was the writing run killed?)"
                 ) from None
             raise TraceSchemaError(
-                f"{part}:{lineno}: invalid JSON ({exc})"
+                f"{self.path}:{lineno}: invalid JSON ({exc})"
             ) from None
         if "footer" in record:
             self.footer = record["footer"]

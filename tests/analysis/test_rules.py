@@ -110,6 +110,28 @@ def test_det004_sorted_sanctions_iteration(lint_snippet):
     assert findings == []
 
 
+def test_det004_flags_sum_over_set(lint_snippet):
+    """Float addition is not associative, so ``sum()`` over a set rounds
+    by hash order; DET004 sees it in every layer, not only FLOAT001's."""
+    findings = lint_snippet(
+        "def total(xs):\n"
+        "    return sum({x * 2.0 for x in xs})\n",
+        rel="core/acc.py",
+    )
+    assert codes(findings) == ["DET004"]
+    assert "via sum()" in findings[0].message
+
+
+def test_det004_min_max_over_set_stay_clean(lint_snippet):
+    findings = lint_snippet(
+        "def bounds(xs):\n"
+        "    live = set(xs)\n"
+        "    return min(live), max(live)\n",
+        rel="core/acc.py",
+    )
+    assert findings == []
+
+
 def test_det004_standalone_pragma_covers_next_line(lint_snippet):
     findings = lint_snippet(
         "def f():\n"

@@ -127,13 +127,7 @@ def test_render_comparison():
 
 
 # -- a buffer of 0 is an error, not "the default" -------------------------------
-
-
-def _fig9_cli_buffer_0(params):
-    from repro.cli import main
-
-    main(["fig9", "--consumers", "2", "--duration", "0.2",
-          "--replicates", "1", "--buffer", "0"])
+# (The CLI's --buffer 0 fails earlier, at parse time; see tests/test_cli.py.)
 
 
 def _grid_cell_buffer_0(params):
@@ -157,10 +151,8 @@ def _recorded_run_buffer_0(params):
         lambda p: run_multi_comparison(p, 2, buffer_size=0, jobs=1),
         _grid_cell_buffer_0,
         _recorded_run_buffer_0,
-        _fig9_cli_buffer_0,
     ],
-    ids=["pc_config", "pbpl_config", "run_multi", "fig9", "grid", "record_run",
-         "cli"],
+    ids=["pc_config", "pbpl_config", "run_multi", "fig9", "grid", "record_run"],
 )
 def test_buffer_of_zero_is_rejected_not_defaulted(params, build):
     with pytest.raises(ValueError, match="buffer size must be >= 1"):

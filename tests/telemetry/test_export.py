@@ -1,14 +1,6 @@
-"""Exporter: OpenMetrics text, parse round-trip, drift diffs."""
+"""Exporter: OpenMetrics text, one unique sample per line."""
 
-import pytest
-
-from repro.telemetry import (
-    MetricsParseError,
-    MetricsRegistry,
-    diff_openmetrics,
-    parse_openmetrics,
-    to_openmetrics,
-)
+from repro.telemetry import MetricsRegistry, to_openmetrics
 
 
 def _registry():
@@ -38,48 +30,16 @@ def test_openmetrics_shape():
     assert 'repro_batch_items_count{impl="PBPL"} 3' in lines
 
 
-def test_openmetrics_parse_round_trip():
-    text = to_openmetrics(_registry().snapshot())
-    samples = parse_openmetrics(text)
-    assert samples['repro_wakeups_total{impl="PBPL",kind="slot"}'] == 3.0
-    assert samples['repro_batch_items_bucket{impl="PBPL",le="+Inf"}'] == 3.0
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(MetricsParseError):
-        parse_openmetrics("repro_x this is not a number\n# EOF\n")
-
-
-def test_diff_identical_is_clean():
-    text = to_openmetrics(_registry().snapshot())
-    diff = diff_openmetrics(text, text)
-    assert not diff.drifted
-    assert "identical" in diff.render()
-
-
-def test_diff_reports_drift_and_missing_series():
-    a = _registry()
-    b = _registry()
-    b.counter("wakeups_total", kind="slot").inc(2)
-    b.counter("overflows_total").inc()
-    diff = diff_openmetrics(
-        to_openmetrics(a.snapshot()), to_openmetrics(b.snapshot())
-    )
-    assert diff.drifted
-    rendered = diff.render()
-    assert "wakeups_total" in rendered
-    assert "overflows_total" in rendered
-
-
-def test_diff_thresholds_absorb_small_drift():
-    a = _registry()
-    b = _registry()
-    b.counter("wakeups_total", kind="slot").inc(1)  # 3 -> 4
-    a_text = to_openmetrics(a.snapshot())
-    b_text = to_openmetrics(b.snapshot())
-    assert diff_openmetrics(a_text, b_text).drifted
-    assert not diff_openmetrics(a_text, b_text, abs_tol=1.0).drifted
-    assert not diff_openmetrics(a_text, b_text, rel_tol=0.5).drifted
+def test_every_sample_is_one_unique_line(metered_snapshot):
+    """One sample per line, each ``name{labels}`` key once: what lets a
+    byte compare of the golden name the first sample that moved."""
+    lines = to_openmetrics(metered_snapshot).splitlines()
+    assert lines[-1] == "# EOF"
+    samples = [line for line in lines if not line.startswith("#")]
+    keys = [line.rsplit(" ", 1)[0] for line in samples]
+    assert samples and len(set(keys)) == len(keys)
+    for line in samples:
+        float(line.rsplit(" ", 1)[1])  # every value is a number
 
 
 def test_exported_floats_are_repr_exact():

@@ -63,32 +63,18 @@ def test_footerless_trace_reads_but_reports_no_footer(tmp_path, healthy_trace):
     assert reader.footer is None
 
 
-def test_diff_of_healthy_traces_exits_zero(healthy_trace, capsys):
-    assert main(["trace", "diff", str(healthy_trace), str(healthy_trace)]) == 0
-    capsys.readouterr()
+def test_report_of_healthy_trace_exits_zero(healthy_trace, capsys):
+    assert main(["trace", "report", str(healthy_trace)]) == 0
+    assert "trace report" in capsys.readouterr().out
 
 
-def test_diff_rejects_footerless_trace_with_exit_two(
-    tmp_path, healthy_trace, capsys
-):
-    lines = healthy_trace.read_text().splitlines()
-    partial = tmp_path / "partial.jsonl"
-    partial.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(SystemExit) as exc_info:
-        main(["trace", "diff", str(healthy_trace), str(partial)])
-    assert exc_info.value.code == 2
-    err = capsys.readouterr().err
-    assert "truncated trace" in err
-    assert "footer" in err
-
-
-def test_diff_rejects_half_written_trace_with_exit_two(
+def test_report_rejects_half_written_trace_with_exit_two(
     tmp_path, healthy_trace, capsys
 ):
     text = healthy_trace.read_text()
     cut = tmp_path / "cut.jsonl"
     cut.write_text(text[: len(text) - 15])
     with pytest.raises(SystemExit) as exc_info:
-        main(["trace", "diff", str(cut), str(healthy_trace)])
+        main(["trace", "report", str(cut)])
     assert exc_info.value.code == 2
     assert "truncated trace" in capsys.readouterr().err

@@ -8,13 +8,16 @@ DET003  RNG discipline: stdlib ``random`` is banned outright; numpy
         ``repro.sim.rng`` (named streams derived from run parameters).
 DET004  iteration over set/frozenset values (or expressions derived from
         them) without an ordering step — hash order leaks into output,
-        including through ``sum()``'s float rounding.
+        including through ``sum()``'s float rounding. In the numeric
+        layers such a ``sum()`` is FLOAT001's finding instead (see
+        ``rules_float``): both rules read the same walk, so a defect is
+        reported once.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.registry import LintRule, register
 
@@ -185,16 +188,28 @@ _ORDERED_CONSUMERS = frozenset(
 )
 _SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
 
+#: Layers whose float sums feed reconciliation gates (FLOAT001's).
+NUMERIC_LAYERS = ("metrics", "power", "telemetry")
+
+_FLOAT_SUM = (
+    "float sum over a hash-ordered iterable — addition is not associative; "
+    "sum over sorted(...) or use math.fsum(...)"
+)
+
 
 class _ScopeWalker:
     """Sequential, per-scope taint walk: which names hold set values, and
-    where does a set value get iterated without ``sorted``?"""
+    where does a set value get iterated without ``sorted``?
 
-    def __init__(self, rule: LintRule, ctx: "ModuleContext"):
-        self.rule = rule
-        self.ctx = ctx
+    Each hit is ``(code, node, message)``: DET004, or FLOAT001 for a
+    ``sum()`` over set values in a numeric layer, whose comprehension
+    argument is then not reported a second time as DET004.
+    """
+
+    def __init__(self, ctx: "ModuleContext"):
+        self.numeric = ctx.layer in NUMERIC_LAYERS
         self.tainted: Set[str] = set()
-        self.findings: List["Finding"] = []
+        self.hits: List[Tuple[str, ast.AST, str]] = []
 
     # -- taint classification ------------------------------------------------
 
@@ -220,24 +235,42 @@ class _ScopeWalker:
     # -- violations ----------------------------------------------------------
 
     def _flag(self, node: ast.AST, how: str) -> None:
-        self.findings.append(
-            self.rule.finding(
-                self.ctx,
-                node,
-                f"iteration over a set {how} depends on hash order — wrap in "
-                f"sorted(...) (or suppress if provably order-free)",
-            )
+        self.hits.append((
+            "DET004",
+            node,
+            f"iteration over a set {how} depends on hash order — wrap in "
+            f"sorted(...) (or suppress if provably order-free)",
+        ))
+
+    def _sum_over_set(self, call: ast.Call) -> bool:
+        """``sum()`` of a set value or of a comprehension over one."""
+        if not call.args:
+            return False
+        arg = call.args[0]
+        if self.is_set_expr(arg):
+            return True
+        return isinstance(arg, (ast.GeneratorExp, ast.ListComp)) and any(
+            self.is_set_expr(gen.iter) for gen in arg.generators
         )
 
     def check_expr(self, node: ast.AST) -> None:
         """Look for order-sensitive consumption of set values inside an
         arbitrary expression tree."""
-        for sub in ast.walk(node):
+        float_sums: Set[int] = set()  # ids of arguments FLOAT001 reported
+        for sub in ast.walk(node):  # breadth-first: a call before its args
             if isinstance(sub, ast.Call):
                 fn = sub.func
                 if isinstance(fn, ast.Name) and fn.id == "sorted":
                     continue  # the sanctioned ordering step
-                if isinstance(fn, ast.Name) and fn.id in _ORDERED_CONSUMERS:
+                if (
+                    self.numeric
+                    and isinstance(fn, ast.Name)
+                    and fn.id == "sum"
+                    and self._sum_over_set(sub)
+                ):
+                    self.hits.append(("FLOAT001", sub, _FLOAT_SUM))
+                    float_sums.add(id(sub.args[0]))
+                elif isinstance(fn, ast.Name) and fn.id in _ORDERED_CONSUMERS:
                     if any(self.is_set_expr(a) for a in sub.args):
                         self._flag(sub, f"via {fn.id}()")
                 elif isinstance(fn, ast.Attribute) and fn.attr == "join":
@@ -251,7 +284,10 @@ class _ScopeWalker:
                 ):
                     if sub.args and self.is_set_expr(sub.args[0]):
                         self._flag(sub, "via dict.fromkeys")
-            elif isinstance(sub, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
+            elif (
+                isinstance(sub, (ast.ListComp, ast.GeneratorExp, ast.DictComp))
+                and id(sub) not in float_sums
+            ):
                 for gen in sub.generators:
                     if self.is_set_expr(gen.iter):
                         self._flag(sub, "in a comprehension")
@@ -313,18 +349,27 @@ class _ScopeWalker:
                 self.check_expr(sub)
 
 
+def set_order_hits(ctx: "ModuleContext") -> List[Tuple[str, ast.AST, str]]:
+    """Every DET004 and FLOAT001 hit in the module, one walk per scope."""
+    hits: List[Tuple[str, ast.AST, str]] = []
+    scopes: List[Iterable[ast.stmt]] = [ctx.tree.body]
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scopes.append(node.body)
+    for body in scopes:
+        walker = _ScopeWalker(ctx)
+        walker.walk(body)
+        hits.extend(walker.hits)
+    return hits
+
+
 @register
 class SetIterationRule(LintRule):
     code = "DET004"
 
     def check(self, ctx: "ModuleContext") -> List["Finding"]:
-        findings: List["Finding"] = []
-        scopes: List[Iterable[ast.stmt]] = [ctx.tree.body]
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append(node.body)
-        for body in scopes:
-            walker = _ScopeWalker(self, ctx)
-            walker.walk(body)
-            findings.extend(walker.findings)
-        return findings
+        return [
+            self.finding(ctx, node, message)
+            for code, node, message in set_order_hits(ctx)
+            if code == self.code
+        ]

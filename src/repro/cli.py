@@ -52,6 +52,13 @@ from repro.harness import (
     run_wakeup_accounting,
     runs_to_csv,
 )
+from repro.impls.single import SINGLE_IMPLEMENTATIONS
+from repro.trace.recorder import SCENARIOS
+
+#: Every implementation a traced or metered run accepts.
+RUN_IMPLS = ("PBPL", *SINGLE_IMPLEMENTATIONS)
+_IMPL_HELP = f"implementation: {', '.join(RUN_IMPLS)}"
+_SCENARIO_HELP = f"scenario: {', '.join(SCENARIOS)}"
 
 
 def _positive(kind):
@@ -962,16 +969,14 @@ def build_parser() -> argparse.ArgumentParser:
         "record", help="run an implementation under a scenario, emit a trace"
     )
     p.add_argument(
-        "--impl",
-        default="PBPL",
-        help="implementation: PBPL or a §III name (Mutex, Sem, BP, SPBP, ...)",
+        "--impl", default="PBPL", choices=RUN_IMPLS, metavar="IMPL", help=_IMPL_HELP
     )
     p.add_argument(
         "--scenario",
         default="webserver",
-        help="webserver, clean, or any chaos scenario name "
-        "(stall, lost-signals, burst, clock-drift, slowdown, "
-        "contention, combined, core-kill, cascade)",
+        choices=SCENARIOS,
+        metavar="SCENARIO",
+        help=_SCENARIO_HELP,
     )
     p.add_argument("--duration", type=_positive_float, default=2.0)
     p.add_argument("--consumers", type=_positive_int, default=4)
@@ -1043,12 +1048,16 @@ def build_parser() -> argparse.ArgumentParser:
         mp.add_argument(
             "--impl",
             default=smoke["impl"],
-            help="implementation: PBPL or a §III name (Mutex, Sem, BP, ...)",
+            choices=RUN_IMPLS,
+            metavar="IMPL",
+            help=_IMPL_HELP,
         )
         mp.add_argument(
             "--scenario",
             default=smoke["scenario"],
-            help="webserver, clean, or any chaos scenario name",
+            choices=SCENARIOS,
+            metavar="SCENARIO",
+            help=_SCENARIO_HELP,
         )
         mp.add_argument(
             "--duration", type=_positive_float, default=smoke["duration_s"]

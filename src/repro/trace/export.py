@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Dict, List, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.trace.tracer import COUNTER, INSTANT, SPAN, TraceEvent, Tracer
+from repro.trace.tracer import COUNTER, INSTANT, SPAN, EventKind, TraceEvent, Tracer
 
 #: The single simulated process all tracks live under.
 PID = 1
@@ -35,7 +35,6 @@ PID = 1
 BLOCK = 4096
 
 _INF = float("inf")
-_STR_ONLY = {str}
 
 _EventsOrTracer = Union[Tracer, List[TraceEvent]]
 
@@ -49,7 +48,63 @@ def _events(source: _EventsOrTracer) -> List[TraceEvent]:
 
 def _track_ids(events: List[TraceEvent]) -> Dict[str, int]:
     """Stable track → tid mapping (sorted by name; tids start at 1)."""
-    return {track: i + 1 for i, track in enumerate(sorted({e.track for e in events}))}
+    tracks = sorted({kind.track for kind in {e.kind for e in events}})
+    return {track: i + 1 for i, track in enumerate(tracks)}
+
+
+class _PerKind(dict):
+    """``kind → pieces``, each kind's pieces built on first use.
+
+    An export renders what the events of one :class:`EventKind` share
+    (quoted names, the tid, the sorted-key plan) once, then only each
+    event's numbers and values.
+    """
+
+    def __init__(self, build: Callable[[EventKind], Any]) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, kind: EventKind) -> Any:
+        pieces = self[kind] = self.build(kind)
+        return pieces
+
+
+def _args_plan(keys: tuple) -> Optional[Tuple[Tuple[int, str], ...]]:
+    """How to write args with these keys as :func:`_json` would: the
+    ``(index into values, quoted-key prefix)`` pairs in sorted-key
+    order, or ``None`` when a key is not exactly ``str`` (those events
+    go through ``_json(e.args)``)."""
+    if not all(type(key) is str for key in keys):
+        return None
+    return tuple(
+        (i, f"{_quote(keys[i])}:")
+        for i in sorted(range(len(keys)), key=keys.__getitem__)
+    )
+
+
+def _render_args(plan: Optional[Tuple[Tuple[int, str], ...]], e: TraceEvent) -> str:
+    """``_json(e.args)``, written from the event's values and its kind's
+    :func:`_args_plan` (the one args renderer of every export)."""
+    if plan is None:
+        return _json(e.args)
+    return _json_object(plan, e.values)
+
+
+def _json_object(plan: Tuple[Tuple[int, str], ...], values: tuple) -> str:
+    """The JSON object of ``values`` laid out by an :func:`_args_plan`;
+    ``_json`` writes its str-keyed dicts through it too."""
+    parts = []
+    for i, prefix in plan:
+        item = values[i]
+        kind = type(item)
+        if kind is int or kind is float and item - item == 0.0:
+            # str() of an exact int or finite float is its JSON text.
+            parts.append(f"{prefix}{item}")
+        elif kind is str:
+            parts.append(prefix + _quote(item))
+        else:
+            parts.append(prefix + _json(item))
+    return "{" + ",".join(parts) + "}"
 
 
 def _json(value: Any) -> str:
@@ -65,19 +120,10 @@ def _json(value: Any) -> str:
     through the ``isinstance`` checks below, in the clamp's order.
     """
     cls = type(value)
-    if cls is dict and {*map(type, value)} <= _STR_ONLY:
-        parts = []
-        for key in sorted(value):
-            item = value[key]
-            kind = type(item)
-            if kind is int or kind is float and item - item == 0.0:
-                # str() of an exact int or finite float is its JSON text.
-                parts.append(f"{_quote(key)}:{item}")
-            elif kind is str:
-                parts.append(f"{_quote(key)}:{_quote(item)}")
-            else:
-                parts.append(f"{_quote(key)}:{_json(item)}")
-        return "{" + ",".join(parts) + "}"
+    if cls is dict:
+        plan = _args_plan(tuple(value))
+        if plan is not None:
+            return _json_object(plan, tuple(value.values()))
     if cls is str:
         return _quote(value)
     if cls is float and value - value == 0.0:
@@ -128,20 +174,57 @@ def _field(value: Any) -> str:
     )
 
 
+def _chrome_pieces(kind: EventKind, tid_ts: Dict[str, str]) -> tuple:
+    """``(phase, plan, a, b)``: a kind's Chrome record around its numbers.
+
+    A span record is ``,{"args":`` + args + a + dur + b + ts + ``}``, an
+    instant's ``,{"args":`` + args + a + ts + ``}``, a counter's a +
+    value + b + ts + ``}`` (``plan`` is the index of ``"value"``) and
+    any other phase's a + ts + ``}``.
+    """
+    cat = _field(kind.category)
+    name = _field(kind.name)
+    tid = tid_ts[kind.track]
+    phase = kind.phase
+    if phase == SPAN:
+        return (
+            SPAN, _args_plan(kind.keys), f',"cat":{cat},"dur":',
+            f',"name":{name},"ph":"X","pid":{PID},{tid}',
+        )
+    if phase == INSTANT:
+        # "s":"t" marks a thread-scoped instant.
+        return (
+            INSTANT, _args_plan(kind.keys),
+            f',"cat":{cat},"name":{name},"ph":"i","pid":{PID},"s":"t",{tid}', "",
+        )
+    if phase == COUNTER:
+        keys = kind.keys
+        return (
+            COUNTER, keys.index("value") if "value" in keys else None,
+            f',{{"args":{{{name}:',
+            f'}},"cat":{cat},"name":{name},"ph":"C","pid":{PID},{tid}',
+        )
+    return (
+        None, None,
+        f',{{"cat":{cat},"name":{name},"ph":{_field(phase)},"pid":{PID},{tid}', "",
+    )
+
+
 def to_chrome_json(source: _EventsOrTracer) -> str:
     """Serialise to the Chrome trace-event JSON format (byte-stable).
 
     Keys are sorted and separators compact, as ``json.dumps(...,
     sort_keys=True, separators=(",", ":"))`` would write the document;
-    each record is one f-string per phase.
+    each record is one f-string per phase around its kind's pieces.
     """
     events = _events(source)
     tids = _track_ids(events)
     # Every record ends in '"tid":N,"ts":<ts>' (keys sorted); the
-    # track's part of that is rendered once, not once per event. Event
-    # records carry their own leading comma: there are metadata records
-    # before them whenever there are events.
+    # track's part of that is in its kind's pieces. Event records carry
+    # their own leading comma: there are metadata records before them
+    # whenever there are events.
     tid_ts = {track: f'"tid":{tid},"ts":' for track, tid in tids.items()}
+    pieces = _PerKind(lambda kind: _chrome_pieces(kind, tid_ts))
     blocks = [
         '{"displayTimeUnit":"ms","otherData":{"clock":"virtual",'
         '"source":"repro.trace"},"traceEvents":['
@@ -155,33 +238,20 @@ def to_chrome_json(source: _EventsOrTracer) -> str:
     for start in range(0, len(events), BLOCK):
         records = []
         for e in events[start : start + BLOCK]:
-            cat = _field(e.category)
-            name = _field(e.name)
-            tid = tid_ts[e.track]
+            phase, plan, a, b = pieces[e.kind]
             ts = _field(e.ts_s * 1e6)
-            phase = e.phase
             if phase == SPAN:
                 records.append(
-                    f',{{"args":{_json(e.args)},"cat":{cat},'
-                    f'"dur":{_field((e.dur_s or 0.0) * 1e6)},"name":{name},'
-                    f'"ph":"X","pid":{PID},{tid}{ts}}}'
+                    f',{{"args":{_render_args(plan, e)}{a}'
+                    f'{_field((e.dur_s or 0.0) * 1e6)}{b}{ts}}}'
                 )
             elif phase == INSTANT:
-                # "s":"t" marks a thread-scoped instant.
-                records.append(
-                    f',{{"args":{_json(e.args)},"cat":{cat},"name":{name},'
-                    f'"ph":"i","pid":{PID},"s":"t",{tid}{ts}}}'
-                )
+                records.append(f',{{"args":{_render_args(plan, e)}{a}{ts}}}')
             elif phase == COUNTER:
-                records.append(
-                    f',{{"args":{{{name}:{_json(e.args.get("value", 0))}}},'
-                    f'"cat":{cat},"name":{name},"ph":"C","pid":{PID},{tid}{ts}}}'
-                )
+                value = "0" if plan is None else _json(e.values[plan])
+                records.append(f"{a}{value}{b}{ts}}}")
             else:
-                records.append(
-                    f',{{"cat":{cat},"name":{name},"ph":{_field(phase)},'
-                    f'"pid":{PID},{tid}{ts}}}'
-                )
+                records.append(f"{a}{ts}}}")
         blocks.append("".join(records))
     blocks.append("]}")
     # One join over the whole document: concatenating around a joined
@@ -202,20 +272,21 @@ def to_text_timeline(source: _EventsOrTracer) -> str:
     lines = []
     for e in events:
         stamp = f"{e.ts_s * 1e3:12.6f}"
+        args = e.args
         if e.phase == SPAN:
             # Spans cut by the end of the run carry truncated=True (set
             # by Tracer.finalize); surface it in the duration field
             # rather than burying it in the args dict.
-            cut = ", truncated" if e.args.get("truncated") else ""
+            cut = ", truncated" if args.get("truncated") else ""
             body = f"[span] {e.name} ({(e.dur_s or 0.0) * 1e3:.6f} ms{cut})"
         elif e.phase == COUNTER:
-            value = e.args.get("value", 0)
+            value = args.get("value", 0)
             value_text = f"{value:g}" if isinstance(value, float) else str(value)
             body = f"[ctr ] {e.name} = {value_text}"
         else:
             body = f"[inst] {e.name}"
         extra = {} if e.phase == COUNTER else {
-            k: v for k, v in e.args.items() if k != "truncated"
+            k: v for k, v in args.items() if k != "truncated"
         }
         if extra:
             parts = ", ".join(

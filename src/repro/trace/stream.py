@@ -37,8 +37,16 @@ import sys
 from pathlib import Path
 from typing import IO, Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.trace.export import BLOCK, _events, _field, _json
-from repro.trace.tracer import TraceEvent, Tracer
+from repro.trace.export import (
+    BLOCK,
+    _args_plan,
+    _events,
+    _field,
+    _json,
+    _PerKind,
+    _render_args,
+)
+from repro.trace.tracer import EventKind, TraceEvent, Tracer
 
 #: Identifies a repro trace JSONL header.
 SCHEMA = "repro.trace"
@@ -65,6 +73,27 @@ class TraceTruncatedError(TraceSchemaError):
     """
 
 
+def _line_pieces(kind: EventKind) -> tuple:
+    """``(plan, a, b, c)``: a kind's JSONL line is ``{"args":`` + args +
+    a + dur + b + seq + c + ts + ``}`` and a newline."""
+    return (
+        _args_plan(kind.keys),
+        f',"cat":{_field(kind.category)},"dur":',
+        f',"name":{_field(kind.name)},"ph":{_field(kind.phase)},"seq":',
+        f',"track":{_field(kind.track)},"ts":',
+    )
+
+
+def _line(e: TraceEvent, pieces: tuple) -> str:
+    plan, a, b, c = pieces
+    dur = e.dur_s
+    return (
+        f'{{"args":{_render_args(plan, e)}{a}'
+        f'{"null" if dur is None else _field(dur)}{b}{_field(e.seq)}{c}'
+        f"{_field(e.ts_s)}}}\n"
+    )
+
+
 def event_line(e: TraceEvent) -> str:
     """One event as its JSONL line (newline included).
 
@@ -73,13 +102,7 @@ def event_line(e: TraceEvent) -> str:
     clamped to JSON-safe values. The output is ASCII (non-ASCII text is
     ``\\u``-escaped), so ``len()`` of a line is its size in bytes.
     """
-    dur = e.dur_s
-    return (
-        f'{{"args":{_json(e.args)},"cat":{_field(e.category)},'
-        f'"dur":{"null" if dur is None else _field(dur)},'
-        f'"name":{_field(e.name)},"ph":{_field(e.phase)},"seq":{_field(e.seq)},'
-        f'"track":{_field(e.track)},"ts":{_field(e.ts_s)}}}\n'
-    )
+    return _line(e, _line_pieces(e.kind))
 
 
 def event_to_dict(event: TraceEvent) -> Dict[str, Any]:
@@ -152,6 +175,7 @@ class StreamingTraceWriter:
             self._owns_file = True
         self.events_written = 0
         self._closed = False
+        self._pieces = _PerKind(_line_pieces)
         self._file.write(_header_line(meta))
 
     def attach(self, tracer: Tracer) -> "StreamingTraceWriter":
@@ -162,7 +186,7 @@ class StreamingTraceWriter:
     def write_event(self, event: TraceEvent) -> None:
         if self._closed:
             raise ValueError("write_event() on a closed StreamingTraceWriter")
-        self._file.write(event_line(event))
+        self._file.write(_line(event, self._pieces[event.kind]))
         self.events_written += 1
 
     def close(self, **footer_fields: Any) -> None:
@@ -295,8 +319,11 @@ def to_jsonl(
     events before the final join.
     """
     events = _events(source)
+    pieces = _PerKind(_line_pieces)
     blocks = [_header_line(meta)]
     for start in range(0, len(events), BLOCK):
-        blocks.append("".join([event_line(e) for e in events[start : start + BLOCK]]))
+        blocks.append(
+            "".join([_line(e, pieces[e.kind]) for e in events[start : start + BLOCK]])
+        )
     blocks.append(_footer_line(len(events), footer_fields))
     return "".join(blocks)

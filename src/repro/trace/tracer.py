@@ -48,18 +48,44 @@ INSTANT = "i"
 COUNTER = "C"
 
 
+class EventKind:
+    """What every event of one emission site on one track shares.
+
+    ``keys`` are the event's arg names in emission order; the event
+    itself keeps only the matching values. A :class:`Tracer` interns
+    its kinds (one object per distinct ``phase, category, track, name,
+    keys``), so the exporters render each kind's pieces once per
+    export, keyed by the kind object.
+    """
+
+    __slots__ = ("phase", "category", "track", "name", "keys")
+
+    def __init__(self, phase, category, track, name, keys: tuple) -> None:
+        self.phase = phase
+        self.category = category
+        self.track = track
+        self.name = name
+        self.keys = keys
+
+    def __repr__(self) -> str:
+        return f"<EventKind {self.phase} {self.track}/{self.name} {self.keys}>"
+
+
 class TraceEvent:
     """One recorded event (immutable once stored).
 
     ``ts_s``/``dur_s`` are virtual-time seconds; ``dur_s`` is ``None``
-    for instants and counters. ``args`` is a (possibly empty) dict of
-    JSON-safe values; counters store their value under ``"value"``.
-    The other fields are scalars (str, number or ``None``): the
-    exporters clamp ``args`` to JSON-safe values, but raise
-    ``TypeError`` on a container in any other field.
+    for instants and counters. An event stores its :class:`EventKind`
+    and a ``values`` tuple in the order of ``kind.keys``; ``phase``,
+    ``category``, ``track`` and ``name`` read through to the kind.
+    ``args`` is a fresh dict of the JSON-safe values on every read — a
+    read-only view: changing it changes nothing stored. Counters store
+    their value under ``"value"``. The other fields are scalars (str,
+    number or ``None``): the exporters clamp ``args`` to JSON-safe
+    values, but raise ``TypeError`` on a container in any other field.
     """
 
-    __slots__ = ("ts_s", "dur_s", "phase", "category", "track", "name", "seq", "args")
+    __slots__ = ("ts_s", "dur_s", "seq", "kind", "values")
 
     def __init__(
         self,
@@ -74,12 +100,30 @@ class TraceEvent:
     ) -> None:
         self.ts_s = ts_s
         self.dur_s = dur_s
-        self.phase = phase
-        self.category = category
-        self.track = track
-        self.name = name
         self.seq = seq
-        self.args = args
+        self.kind = EventKind(phase, category, track, name, tuple(args))
+        self.values = tuple(args.values())
+
+    @property
+    def phase(self) -> str:
+        return self.kind.phase
+
+    @property
+    def category(self) -> str:
+        return self.kind.category
+
+    @property
+    def track(self) -> str:
+        return self.kind.track
+
+    @property
+    def name(self) -> str:
+        return self.kind.name
+
+    @property
+    def args(self) -> Dict[str, Any]:
+        """The event's args as a new dict (a read-only view)."""
+        return dict(zip(self.kind.keys, self.values))
 
     @property
     def end_s(self) -> float:
@@ -95,6 +139,20 @@ class TraceEvent:
             f"<TraceEvent {self.phase} {self.track}/{self.name} "
             f"t={self.ts_s:g}{dur}>"
         )
+
+
+_new_event = object.__new__
+
+
+def _stored(ts_s, dur_s, seq, kind, values) -> TraceEvent:
+    """A :class:`TraceEvent` from an interned kind (the tracer's path)."""
+    event = _new_event(TraceEvent)
+    event.ts_s = ts_s
+    event.dur_s = dur_s
+    event.seq = seq
+    event.kind = kind
+    event.values = values
+    return event
 
 
 class Span:
@@ -201,6 +259,11 @@ class Tracer:
         self.env = env
         self.capacity = capacity
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
+        # The intern table: one EventKind per distinct (phase, category,
+        # track, name, arg keys). Values never enter a key, so its size
+        # is bounded by the emission sites times the tracks they emit
+        # on, not by the run's length, and it dies with the tracer.
+        self._kinds: Dict[tuple, EventKind] = {}
         self._seq = 0
         self.dropped_events = 0
         self._open_spans: List[Span] = []
@@ -235,25 +298,26 @@ class Tracer:
         self._seq += 1
         return seq
 
+    def _intern(self, key: tuple) -> EventKind:
+        """The kind for ``key`` = ``(phase, category, track, name, *keys)``."""
+        kind = self._kinds[key] = EventKind(*key[:4], key[4:])
+        return kind
+
     def instant(self, track: str, name: str, category: str = "event", **args) -> None:
         """Record a point event."""
+        key = (INSTANT, category, track, name, *args)
+        kind = self._kinds.get(key) or self._intern(key)
         self._append(
-            TraceEvent(
-                self.env.now, None, INSTANT, category, track, name,
-                self._next_seq(), args,
-            )
+            _stored(self.env.now, None, self._next_seq(), kind, tuple(args.values()))
         )
 
     def counter(
         self, track: str, name: str, value: float, category: str = "counter"
     ) -> None:
         """Record a counter sample (drawn as a step function)."""
-        self._append(
-            TraceEvent(
-                self.env.now, None, COUNTER, category, track, name,
-                self._next_seq(), {"value": value},
-            )
-        )
+        key = (COUNTER, category, track, name, "value")
+        kind = self._kinds.get(key) or self._intern(key)
+        self._append(_stored(self.env.now, None, self._next_seq(), kind, (value,)))
 
     def begin(self, track: str, name: str, category: str = "span", **args) -> Span:
         """Open a span; pair with :meth:`end`."""
@@ -270,13 +334,15 @@ class Tracer:
             self._open_spans.remove(span)
         except ValueError:
             pass
+        merged = span.args
         if args:
-            span.args.update(args)
+            merged.update(args)
+        key = (SPAN, span.category, span.track, span.name, *merged)
+        kind = self._kinds.get(key) or self._intern(key)
         self._append(
-            TraceEvent(
-                span.start_s,
-                max(0.0, self.env.now - span.start_s),
-                SPAN, span.category, span.track, span.name, span.seq, span.args,
+            _stored(
+                span.start_s, max(0.0, self.env.now - span.start_s), span.seq,
+                kind, tuple(merged.values()),
             )
         )
 
@@ -292,10 +358,12 @@ class Tracer:
         """Record an already-finished span in one call."""
         if end_s < start_s:
             raise ValueError(f"span ends before it starts: [{start_s}, {end_s}]")
+        key = (SPAN, category, track, name, *args)
+        kind = self._kinds.get(key) or self._intern(key)
         self._append(
-            TraceEvent(
-                start_s, end_s - start_s, SPAN, category, track, name,
-                self._next_seq(), args,
+            _stored(
+                start_s, end_s - start_s, self._next_seq(), kind,
+                tuple(args.values()),
             )
         )
 
@@ -325,7 +393,7 @@ class Tracer:
 
     def tracks(self) -> List[str]:
         """Distinct track names, sorted."""
-        return sorted({e.track for e in self._events})
+        return sorted({e.kind.track for e in self._events})
 
     def __repr__(self) -> str:
         return (

@@ -58,3 +58,23 @@ def test_outside_numeric_layers_not_flagged(lint_snippet):
         rel="harness/acc.py",
     )
     assert _float(findings) == []
+
+
+def test_numeric_layer_sum_over_set_reported_once(lint_snippet):
+    """DET004 and FLOAT001 share one walk: a float sum over set values in a
+    numeric layer is one FLOAT001 finding, not a DET004 one as well."""
+    findings = lint_snippet(
+        "def total(xs):\n"
+        "    return sum({x * 2.0 for x in xs})\n"
+        "\n"
+        "\n"
+        "def total_live(readings):\n"
+        "    live = set(readings)\n"
+        "    return sum(r.joules for r in live)\n",
+        rel="power/acc.py",
+    )
+    assert [(f.code, f.line, f.col) for f in findings] == [
+        ("FLOAT001", 2, 12),
+        ("FLOAT001", 7, 12),
+    ]
+    assert "math.fsum" in findings[0].message

@@ -188,10 +188,35 @@ def test_trace_record_writes_perfetto_json(capsys, tmp_path):
     assert "events" in printed and "diff" in printed
 
 
-def test_trace_record_rejects_unknown_scenario(tmp_path):
-    with pytest.raises(ValueError, match="unknown scenario"):
-        main(["trace", "record", "--scenario", "nope",
-              "-o", str(tmp_path / "t.json")])
+def _rejected_choice(argv, capsys, tmp_path):
+    """Run ``argv``; assert a parse-time exit 2 and return stderr."""
+    with pytest.raises(SystemExit) as exc_info:
+        main([*argv, "-o", str(tmp_path / "t.out")])
+    assert exc_info.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_trace_record_rejects_unknown_scenario(capsys, tmp_path):
+    err = _rejected_choice(["trace", "record", "--scenario", "nope"], capsys, tmp_path)
+    assert "argument --scenario: invalid choice: 'nope'" in err
+    assert "'pipeline-burst'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metrics", "snapshot", "--scenario", "nope"],
+        ["trace", "record", "--impl", "Nope"],
+        ["metrics", "snapshot", "--impl", "Nope"],
+    ],
+    ids=" ".join,
+)
+def test_unknown_impl_or_scenario_fails_by_name(argv, capsys, tmp_path):
+    """An unknown implementation or scenario exits 2 at parse time, names
+    the flag and lists every valid choice, PBPL included."""
+    err = _rejected_choice(argv, capsys, tmp_path)
+    assert f"argument {argv[-2]}: invalid choice: '{argv[-1]}'" in err
+    assert ("'PBPL'" if argv[-2] == "--impl" else "'webserver'") in err
 
 
 def test_trace_smoke_gate(capsys, tmp_path):

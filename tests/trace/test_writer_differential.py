@@ -9,16 +9,18 @@ first. Every output must match it byte for byte.
 """
 
 import enum
+import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.trace import record_run, to_chrome_json, to_jsonl
+from repro.trace import StreamingTraceWriter, record_run, to_chrome_json, to_jsonl
 from repro.trace.export import _json
 from repro.trace.stream import SCHEMA, event_line, schema_version_str
-from repro.trace.tracer import COUNTER, INSTANT, SPAN, TraceEvent
+from repro.trace.tracer import COUNTER, INSTANT, SPAN, TraceEvent, Tracer
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
@@ -254,3 +256,139 @@ def test_exports_join_in_blocks_without_seams():
     ]
     assert to_jsonl(events) == _ref_jsonl(events, None)
     assert to_chrome_json(events) == _ref_chrome(events)
+
+
+# -- the emission path ---------------------------------------------------------------
+#
+# The tracer stores each event as an interned kind plus a values tuple.
+# These tests drive its public emission calls and compare every export
+# with the reference composition applied to the event dicts that a
+# model of those calls predicts (the dict-per-event layout).
+
+#: Argument names of the emission calls themselves; a ``**args`` key
+#: cannot reuse them.
+_PARAMS = {"track", "name", "category", "span", "start_s", "end_s", "value"}
+_emit_keys = st.text(max_size=6).filter(lambda k: k not in _PARAMS)
+_emit_values = st.one_of(
+    st.none(), st.booleans(), st.integers(), _floats, _text,
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False]),
+    st.sampled_from(list(Level)), _text.map(Label), _text.map(Shouty),
+    _values,
+)
+_emit_args = st.dictionaries(_emit_keys, _emit_values, max_size=4)
+_tracks = st.sampled_from(["core0", "mgr", "cé-1"])
+_names = st.sampled_from(["slot", "batch", "wakeup", "☃"])
+_cats = st.sampled_from(["slot", "span", "event", "counter"])
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("instant"), _tracks, _names, _cats, _emit_args),
+        st.tuples(st.just("counter"), _tracks, _names, _cats, _emit_values),
+        st.tuples(st.just("begin"), _tracks, _names, _cats, _emit_args),
+        st.tuples(st.just("end"), st.integers(0, 5), _emit_args),
+        st.tuples(
+            st.just("complete"), _tracks, _names, _cats, _emit_args,
+            st.floats(0, 1e-3),
+        ),
+        st.tuples(st.just("advance"), st.floats(0, 1e-3)),
+        st.just(("finalize",)),
+    ),
+    max_size=25,
+)
+
+
+class _Clock:
+    now = 0.0
+
+
+def _emit(tracer, clock, ops):
+    """Run ``ops`` on ``tracer``; return the event dicts they should give,
+    in append order."""
+    model, spans, seq = [], [], 0
+
+    def record(ts, dur, phase, cat, track, name, seq, args):
+        model.append(
+            dict(ts_s=ts, dur_s=dur, phase=phase, category=cat, track=track,
+                 name=name, seq=seq, args=args)
+        )
+
+    def close(entry, extra):
+        span, opened = entry
+        if span.closed:
+            return
+        merged = dict(opened["args"])
+        merged.update(extra)
+        tracer.end(span, **extra)
+        record(opened["ts"], max(0.0, clock.now - opened["ts"]), SPAN,
+               opened["cat"], opened["track"], opened["name"], opened["seq"],
+               merged)
+
+    for op in ops:
+        if op[0] == "instant":
+            _, track, name, cat, args = op
+            tracer.instant(track, name, cat, **args)
+            record(clock.now, None, INSTANT, cat, track, name, seq, dict(args))
+            seq += 1
+        elif op[0] == "counter":
+            _, track, name, cat, value = op
+            tracer.counter(track, name, value, cat)
+            record(clock.now, None, COUNTER, cat, track, name, seq, {"value": value})
+            seq += 1
+        elif op[0] == "begin":
+            _, track, name, cat, args = op
+            span = tracer.begin(track, name, cat, **args)
+            spans.append((span, dict(ts=clock.now, cat=cat, track=track,
+                                     name=name, seq=seq, args=dict(args))))
+            seq += 1
+        elif op[0] == "end":
+            if spans:
+                close(spans[op[1] % len(spans)], op[2])
+        elif op[0] == "complete":
+            _, track, name, cat, args, length = op
+            start = max(0.0, clock.now - length)
+            tracer.complete(track, name, start, clock.now, cat, **args)
+            record(start, clock.now - start, SPAN, cat, track, name, seq, dict(args))
+            seq += 1
+        elif op[0] == "advance":
+            clock.now += op[1]
+        else:  # finalize closes what is open, in opening order
+            for entry in spans:
+                close(entry, {"truncated": True})
+            tracer.finalize()
+    return model
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_ops, capacity=st.integers(1, 30))
+@example(
+    ops=[
+        ("begin", "core0", "slot", "slot", {"slot": 1, "due_s": math.nan}),
+        ("advance", 1e-4),
+        ("end", 0, {"activated": 2, "slot": Level.HIGH}),
+        ("instant", "mgr", "slot", "slot", {"late_s": -math.inf, "ok": True}),
+        ("instant", "mgr", "slot", "slot", {"ok": False, "late_s": math.inf}),
+        ("counter", "core0", "batch", "counter", Label("x")),
+        ("begin", "cé-1", "batch", "span", {"core": Shouty("a")}),
+        ("finalize",),
+    ],
+    capacity=30,
+)
+def test_emission_path_matches_reference(ops, capacity):
+    clock = _Clock()
+    tracer = Tracer(clock, capacity=capacity)
+    stream = io.StringIO()
+    writer = StreamingTraceWriter(stream, meta={"capacity": capacity})
+    writer.attach(tracer)
+    # The exports finalize the tracer; end with it so the model sees it.
+    model = _emit(tracer, clock, [*ops, ("finalize",)])
+    writer.close()
+    # The sink sees every event at append time; the ring keeps the last
+    # ``capacity`` of them.
+    appended = [SimpleNamespace(**m) for m in model]
+    assert stream.getvalue() == _ref_jsonl(appended, {"capacity": capacity})
+    kept = sorted(appended[-capacity:], key=lambda e: (e.ts_s, e.seq))
+    events = tracer.events
+    assert [e.args for e in events] == [e.args for e in kept]
+    for e, ref in zip(events, kept):
+        assert event_line(e) == _ref_event(ref)
+    assert to_jsonl(tracer) == _ref_jsonl(kept, None)
+    assert to_chrome_json(tracer) == _ref_chrome(kept)

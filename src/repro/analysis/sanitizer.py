@@ -284,8 +284,8 @@ class SanitizingEnvironment(Environment):
     byte-identical to the base environment — the subclass only *records*
     (call sites at schedule time, touch sets at dispatch time) and
     activates the probe hook while its run loop is live. Its loop never
-    arms :meth:`Environment.try_advance`, so every service slice is a
-    Timeout with a recorded call site.
+    arms :meth:`Environment.try_advance_at`, so every service slice and
+    arrival is a Timeout with a recorded call site.
     """
 
     def __init__(
@@ -303,6 +303,11 @@ class SanitizingEnvironment(Environment):
     def timeout(self, delay: float, value: Any = None):
         event = super().timeout(delay, value)
         self.sanitizer.on_schedule(event, self.now + delay, NORMAL)
+        return event
+
+    def timeout_at(self, when: float, eid: int):
+        event = super().timeout_at(when, eid)
+        self.sanitizer.on_schedule(event, when, NORMAL)
         return event
 
     def step(self) -> None:

@@ -313,7 +313,7 @@ def _chaos_sanitize_pass(scenarios, impls, args: argparse.Namespace, report) -> 
     and is jobs-agnostic (probes are per-process state). Each sanitized
     run must also score exactly what its plain run in ``report`` did:
     its loop never advances the clock in place, so this checks
-    ``Environment.try_advance`` end to end.
+    ``Environment.try_advance_at`` end to end.
     """
     import json
 

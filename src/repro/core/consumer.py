@@ -30,7 +30,7 @@ from repro.cpu.core import Core
 from repro.core.config import PBPLConfig
 from repro.core.manager import CoreManager
 from repro.core.predictors import HardenedPredictor, RatePredictor, make_predictor
-from repro.impls.base import PairStats, Producer, serve_batch
+from repro.impls.base import PairStats, serve_batch
 from repro.impls.single import WAKE_CHECK_S
 from repro.telemetry.registry import NULL_REGISTRY
 from repro.trace.tracer import NULL_TRACER
@@ -207,7 +207,7 @@ class LatchingConsumer:
 
     # -- producer side -----------------------------------------------------------
     def try_deliver(self, t: float):
-        """Delivery routine handed to the :class:`Producer`.
+        """Delivery routine of this consumer's producer.
 
         Returns None when the item was placed without suspending (the
         overwhelming majority of deliveries), else a generator carrying
@@ -532,11 +532,10 @@ class LatchingConsumer:
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> "LatchingConsumer":
-        producer = Producer(
-            self.env, self.trace, self.try_deliver, self.stats,
+        self.env.arrivals.add(
+            self.trace.times, self.try_deliver, self.stats,
             f"{self.owner}-producer",
         )
-        self.env.process(producer.process(), name=f"{self.owner}-producer")
         self.env.process(self.process(), name=self.owner)
         return self
 

@@ -263,7 +263,7 @@ class Core:
         if not self._pstate_settled:
             self._reselect_pstate()
         duration = self._slice_s(cpu_seconds, latency, self.context_switch_s)
-        if duration > 0 and not self.env.try_advance(duration):
+        if duration > 0 and not self.env.try_advance_at(self.env.now + duration):
             yield self.env.timeout(duration)
         self._account_busy(owner, duration)
         self._busy = False
@@ -402,7 +402,7 @@ class CoreHold:
         duration = core._slice_s(cpu_seconds, self._latency_s, self._ctx_s)
         self._latency_s = 0.0
         self._ctx_s = 0.0
-        if duration > 0 and not core.env.try_advance(duration):
+        if duration > 0 and not core.env.try_advance_at(core.env.now + duration):
             yield core.env.timeout(duration)
         core._account_busy(self.owner, duration)
         return duration

@@ -1,7 +1,7 @@
 """Producer-consumer implementations: the paper's §III study set and
 multi-pair assembly for the §VI evaluation."""
 
-from repro.impls.base import PairStats, PCConfig, Producer
+from repro.impls.base import PairStats, PCConfig
 from repro.impls.edf import EDFBatchSystem, EDFCoordinator
 from repro.impls.multi import MultiPairSystem, phase_shifted_traces
 from repro.impls.single import (
@@ -28,7 +28,6 @@ __all__ = [
     "PCImplementation",
     "PairStats",
     "PeriodicBatch",
-    "Producer",
     "SINGLE_IMPLEMENTATIONS",
     "SemaphorePair",
     "SignalPeriodicBatch",

@@ -1,34 +1,27 @@
 """Shared scaffolding for all producer-consumer implementations.
 
 Every implementation in :mod:`repro.impls.single` pairs one trace-driven
-:class:`Producer` with one consumer process pinned to a core, sharing a
-buffer and a synchronisation discipline. This module holds the pieces
-they all share: the configuration block, per-pair statistics (including
-the latency tracker behind the paper's "maximum response latency"
-requirement), the producer process, and :func:`serve_batch`, the batch
-loop of the batch implementations and PBPL.
-
-Producers are *external event sources* (paper §IV-A: "producers are
-either processes on separate cores or external events, such that they
-do not interfere with consumers"): delivering an item costs no consumer-
-core time, but a full buffer back-pressures the producer exactly as the
-corresponding POSIX implementation would.
+producer with one consumer process pinned to a core, sharing a buffer
+and a synchronisation discipline. This module holds the pieces they all
+share: the configuration block, per-pair statistics (including the
+latency tracker behind the paper's "maximum response latency"
+requirement) and :func:`serve_batch`, the batch loop of the batch
+implementations and PBPL. The producers of a run are its one
+:class:`~repro.sim.arrivals.ArrivalStream` (``env.arrivals``).
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 import numpy as np
 
 from repro.sim.errors import SimulationError
-from repro.workloads.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.core import Core
-    from repro.sim.environment import Environment
 
 
 @dataclass
@@ -145,60 +138,6 @@ class PairStats:
         return float(np.percentile(self.latencies, q))
 
 
-#: A delivery routine (an implementation's ``try_deliver``): places one
-#: item (its production timestamp) and returns None, or returns the
-#: generator of the blocked path for the producer to ``yield from``.
-DeliverFn = Callable[[float], Optional[Generator]]
-
-
-class Producer:
-    """Replays a :class:`Trace`, delivering each arrival via ``try_deliver``.
-
-    The delivery routine owns all synchronisation (it differs per
-    implementation); the producer just paces it. Most deliveries place
-    the item without suspending, so they cost no generator; one that
-    would block hands back its blocked path, which the producer runs in
-    place. Back-pressure shifts subsequent deliveries later, exactly
-    like a blocked POSIX producer.
-    """
-
-    #: Arrival timestamps are materialised from the numpy trace in
-    #: chunks of this many floats — bounded memory however long the
-    #: trace, without paying a per-item numpy-scalar conversion.
-    CHUNK = 4096
-
-    def __init__(
-        self,
-        env: "Environment",
-        trace: Trace,
-        try_deliver: DeliverFn,
-        stats: PairStats,
-        name: str = "producer",
-    ) -> None:
-        self.env = env
-        self.trace = trace
-        self.try_deliver = try_deliver
-        self.stats = stats
-        self.name = name
-
-    def process(self):
-        """The producer's simulation process (pass to ``env.process``)."""
-        env = self.env
-        try_deliver = self.try_deliver
-        stats = self.stats
-        timeout = env.timeout
-        times = self.trace.times
-        chunk = self.CHUNK
-        for start in range(0, len(times), chunk):
-            for t in times[start : start + chunk].tolist():
-                if env.now < t:
-                    yield timeout(t - env.now)
-                blocked = try_deliver(t)
-                if blocked is not None:
-                    yield from blocked
-                stats.produced += 1
-
-
 def serve_batch(pair, core: "Core", batch) -> Generator:
     """Serve a drained ``batch`` on ``core``, which ``pair`` holds.
 
@@ -217,7 +156,7 @@ def serve_batch(pair, core: "Core", batch) -> Generator:
     """
     env = core.env
     timeout = env.timeout
-    try_advance = env.try_advance
+    try_advance_at = env.try_advance_at
     speedup = core.pstates.speedup
     account_busy = core._account_busy
     owner = pair.owner
@@ -238,7 +177,7 @@ def serve_batch(pair, core: "Core", batch) -> Generator:
         if not core._pstate_settled:
             core._reselect_pstate()
         duration = cost / speedup(core.pstate)
-        if duration > 0 and not try_advance(duration):
+        if duration > 0 and not try_advance_at(env.now + duration):
             yield timeout(duration)
         account_busy(owner, duration)
         stats.consumed += 1

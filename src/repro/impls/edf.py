@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.buffers import BoundedBuffer
 from repro.cpu.machine import Machine
-from repro.impls.base import PairStats, PCConfig, Producer
+from repro.impls.base import PairStats, PCConfig
 from repro.impls.single import WAKE_CHECK_S
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,7 +53,7 @@ class _EDFPair:
 
     def try_deliver(self, t: float):
         """Place one item; on a full buffer, return the blocked path
-        for the producer to ``yield from`` (see :class:`Producer`)."""
+        for the producer to ``yield from``."""
         if self.buffer.is_full:
             return self._deliver_blocked(t)
         self.buffer.push(t)
@@ -200,11 +200,10 @@ class EDFBatchSystem:
 
     def start(self) -> "EDFBatchSystem":
         for pair in self.pairs:
-            producer = Producer(
-                self.env, pair.trace, pair.try_deliver, pair.stats,
+            self.env.arrivals.add(
+                pair.trace.times, pair.try_deliver, pair.stats,
                 f"{pair.owner}-producer",
             )
-            self.env.process(producer.process(), name=f"{pair.owner}-producer")
         for coordinator in self.coordinators:
             self.env.process(
                 coordinator.process(), name=f"{coordinator.owner}-coordinator"

@@ -1,8 +1,9 @@
 """The seven single producer-consumer implementations (paper §III-A).
 
-Each class wires one :class:`~repro.impls.base.Producer` to one
-consumer process on one core, differing only in synchronisation
-discipline — exactly the study set of the paper:
+Each class wires one trace-driven producer (a source of the run's
+:class:`~repro.sim.arrivals.ArrivalStream`) to one consumer process on
+one core, differing only in synchronisation discipline — exactly the
+study set of the paper:
 
 ====== ==========================================================
 BW     busy-wait until ``tail != head``; never sleeps
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.buffers import BoundedBuffer
 from repro.cpu.core import Core
 from repro.cpu.timers import TimerService
-from repro.impls.base import PairStats, PCConfig, Producer, serve_batch
+from repro.impls.base import PairStats, PCConfig, serve_batch
 from repro.sim.primitives import ConditionVariable, Mutex, Semaphore
 from repro.workloads.trace import Trace
 
@@ -142,12 +143,11 @@ class PCImplementation:
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> "PCImplementation":
-        """Spawn the producer and consumer processes."""
-        producer = Producer(
-            self.env, self.trace, self.try_deliver, self.stats,
+        """Add the producer to the run's arrivals; spawn the consumer."""
+        self.env.arrivals.add(
+            self.trace.times, self.try_deliver, self.stats,
             f"{self.owner}-producer",
         )
-        self.env.process(producer.process(), name=f"{self.owner}-producer")
         self.env.process(self._consumer(), name=self.owner)
         return self
 
@@ -229,17 +229,21 @@ class MutexCondvar(PCImplementation):
     def try_deliver(self, t: float):
         mutex = self.mutex
         if not mutex.try_acquire():
-            return self._deliver_contended(t, locked=False)
+            return self._deliver_contended(t)
         if self.buffer.is_full:
-            return self._deliver_contended(t, locked=True)
+            # The blocked path may run on another process than this
+            # call, and waits holding the lock as that process: it
+            # retakes the lock in this same step.
+            mutex.release()
+            return self._deliver_contended(t)
         self.buffer.push(t)
         self.not_empty.notify()
         mutex.release()
         return None
 
-    def _deliver_contended(self, t: float, locked: bool):
-        """Wait for the lock (unless ``locked``), then for space."""
-        if not locked:
+    def _deliver_contended(self, t: float):
+        """Take the lock, then wait for space."""
+        if not self.mutex.try_acquire():
             yield self.mutex.acquire()
         if self.buffer.is_full:
             self.stats.overflows += 1

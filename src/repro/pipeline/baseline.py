@@ -21,7 +21,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.cpu.machine import Machine
-from repro.impls.base import PCConfig, Producer
+from repro.impls.base import PCConfig
 from repro.impls.multi import MultiPairSystem
 from repro.impls.single import PCImplementation, SINGLE_IMPLEMENTATIONS
 from repro.pipeline.system import E2E_QUANTILES, pooled_quantiles
@@ -178,11 +178,10 @@ class BaselinePipelineSystem(MultiPairSystem):
             self.env.process(pair._consumer(), name=pair.owner)
         for source, trace, dests in self._source_feeds:
             for dest in dests:
-                name = f"{dest.owner}-producer"
-                producer = Producer(
-                    self.env, trace, dest.try_deliver, dest.stats, name
+                self.env.arrivals.add(
+                    trace.times, dest.try_deliver, dest.stats,
+                    f"{dest.owner}-producer",
                 )
-                self.env.process(producer.process(), name=name)
         return self
 
     # -- pipeline metrics -------------------------------------------------------

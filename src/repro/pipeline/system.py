@@ -11,9 +11,10 @@
 * one :class:`~repro.pipeline.stage.StageConsumer` per consumer stage,
   wired to forward into its downstream stages and to publish its
   predicted drain time to them,
-* one :class:`~repro.impls.base.Producer` per (source → stage) edge
-  replaying the source's workload trace (fan-out at a source is
-  broadcast: every downstream stage sees the full feed).
+* one producer per (source → stage) edge, a source of the run's
+  :class:`~repro.sim.arrivals.ArrivalStream` replaying the source's
+  workload trace (fan-out at a source is broadcast: every downstream
+  stage sees the full feed).
 
 The chaos-compat surface (``pairs``/``consumers``/``managers``/``pool``/
 ``kill_core``/``aggregate_stats``/…) is inherited from
@@ -34,7 +35,7 @@ from repro.core.config import PBPLConfig
 from repro.core.manager import CoreManager
 from repro.core.system import PBPLSystem
 from repro.cpu.machine import Machine
-from repro.impls.base import PairStats, Producer
+from repro.impls.base import PairStats
 from repro.pipeline.stage import StageConsumer
 from repro.pipeline.topology import Topology
 from repro.workloads.trace import Trace
@@ -201,11 +202,10 @@ class PipelineSystem(PBPLSystem):
         super().start()
         for source, trace, dests in self._source_feeds:
             for dest in dests:
-                name = f"{dest.owner}-producer"
-                producer = Producer(
-                    self.env, trace, dest.try_deliver, dest.stats, name
+                self.env.arrivals.add(
+                    trace.times, dest.try_deliver, dest.stats,
+                    f"{dest.owner}-producer",
                 )
-                self.env.process(producer.process(), name=name)
         return self
 
     # -- pipeline metrics -------------------------------------------------------

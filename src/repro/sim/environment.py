@@ -20,6 +20,9 @@ While :meth:`run` loops, a process may advance the clock in place with
 :class:`Timeout`, when nothing else could run before the slice ends.
 Only :meth:`run` arms that fast path; :meth:`step` and the
 instrumented loops never do, so they see every slice as a Timeout.
+A wait whose eid was taken earlier, as the :class:`ArrivalStream`
+takes each arrival's, uses the reserved-eid forms
+:meth:`try_advance_at` and :meth:`timeout_at` under the same rule.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Iterable, Optional, Union
 
+from repro.sim.arrivals import ArrivalStream
 from repro.sim.errors import SimulationError
 from repro.sim.events import (
     NORMAL,
@@ -38,6 +42,11 @@ from repro.sim.events import (
     ProcessGenerator,
     Timeout,
 )
+
+
+#: The eid :meth:`Environment.try_advance_at` compares with when none
+#: was reserved: one not yet taken sorts after every queued entry's.
+_FRESH_EID = float("inf")
 
 
 class _StopSimulation(Exception):
@@ -81,14 +90,24 @@ class Environment:
         self._stop_at = float("-inf")
         #: Callbacks of the event ``run`` is dispatching.
         self._dispatching: list = [None]
-        #: Every process started on this environment, for :meth:`close`.
-        self._processes: list = []
+        #: Every process started on this environment and not finished,
+        #: for :meth:`close`.
+        self._processes: dict = {}
+        self._arrivals: Optional[ArrivalStream] = None
 
     # -- clock & introspection ------------------------------------------
     @property
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
         return self._active_process
+
+    @property
+    def arrivals(self) -> ArrivalStream:
+        """The run's one :class:`ArrivalStream`, made on first use."""
+        stream = self._arrivals
+        if stream is None:
+            stream = self._arrivals = ArrivalStream(self)
+        return stream
 
     def peek(self) -> float:
         """Timestamp of the next scheduled event, or ``inf`` if none."""
@@ -122,6 +141,22 @@ class Environment:
         """Start a new process from ``generator``; returns its Process event."""
         return Process(self, generator, name=name)
 
+    def process_now(
+        self, generator: ProcessGenerator, name: Optional[str] = None
+    ) -> Process:
+        """Start a process and run its first step at once, in the caller's
+        step: no Initialize event, no eid. The new process is
+        :attr:`active_process` for that step, and the caller's is again
+        afterwards."""
+        caller = self._active_process
+        process = Process(self, generator, name=name, initialize=False)
+        started = Event(self)
+        started._ok = True
+        started._value = None
+        process._resume(started)
+        self._active_process = caller
+        return process
+
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that triggers ``delay`` time units from now.
 
@@ -143,34 +178,66 @@ class Environment:
         heappush(self._queue, (self.now + delay, NORMAL, next(self._eid), event))
         return event
 
-    def try_advance(self, delay: float) -> bool:
-        """Advance the clock by ``delay`` in place, if that is exactly
-        what ``yield self.timeout(delay)`` would do.
+    def timeout_at(self, when: float, eid: int) -> Timeout:
+        """The reserved-eid form of :meth:`timeout`: a Timeout queued at
+        ``when`` under ``eid``, both taken earlier where a ``timeout``
+        call would have taken them, so it sorts where that call's
+        would have."""
+        delay = when - self.now
+        if not delay >= 0:
+            raise SimulationError(
+                f"timeout at {when!r} is NaN or in the past (now={self.now})"
+            )
+        event = Timeout.__new__(Timeout)
+        event.env = self
+        event.callbacks = []
+        event._value = None
+        event._exc = None
+        event._ok = True
+        event._defused = False
+        event.delay = delay
+        heappush(self._queue, (when, NORMAL, eid, event))
+        return event
 
-        Use as ``if not env.try_advance(d): yield env.timeout(d)`` in a
-        process. Returns True, with :attr:`now` set to ``now + delay``,
-        only when :meth:`run` is looping, the new time is before its
-        stop time and strictly before every queued event (an equal
-        time would lose the eid tie-break), and the calling process was
-        resumed by the last callback of the event being dispatched, so
-        no other callback runs in between. The timeout's eid and
-        processed-event count are still taken, so every later eid and
+    def try_advance(self, delay: float) -> bool:
+        """``if not env.try_advance(d): yield env.timeout(d)``: the clock
+        moves by ``d`` in place under :meth:`try_advance_at`'s rule."""
+        return self.try_advance_at(self.now + delay)
+
+    def try_advance_at(self, when: float, eid: float = _FRESH_EID) -> bool:
+        """The one in-place rule: advance the clock to ``when`` if that is
+        exactly what a Timeout at ``when`` with a fresh (default) or
+        reserved ``eid`` would do.
+
+        Use as ``if not env.try_advance_at(w, e): yield
+        env.timeout_at(w, e)``. True only while :meth:`run` loops, with
+        ``when`` before its stop time, ``(when, NORMAL, eid)`` sorting
+        before every queued entry (NORMAL is the largest priority, so an
+        equal time passes only a NORMAL entry with a larger eid, which a
+        fresh eid never does), and the caller resumed by the last
+        callback of the event being dispatched. The Timeout's processed
+        count, and a fresh eid, are still taken, so later eids and
         :attr:`events_processed` stay what the heap would have made.
         """
-        if not delay >= 0:
-            raise SimulationError(f"advance delay {delay!r} is not >= 0")
-        when = self.now + delay
+        if not when >= self.now:
+            raise SimulationError(
+                f"advance to {when!r} is NaN or in the past (now={self.now})"
+            )
         if when < self._stop_at:
             queue = self._queue
+            if queue:
+                head = queue[0]
+                if not (
+                    when < head[0]
+                    or (when == head[0] and head[1] == NORMAL and eid < head[2])
+                ):
+                    return False
             process = self._active_process
-            if (
-                (not queue or when < queue[0][0])
-                and process is not None
-                and self._dispatching[-1] is process._resume_cb
-            ):
+            if process is not None and self._dispatching[-1] is process._resume_cb:
                 self.now = when
                 self.events_processed += 1
-                next(self._eid)
+                if eid is _FRESH_EID:
+                    next(self._eid)
                 return True
         return False
 
@@ -299,13 +366,14 @@ class Environment:
         reference counting once its last outside reference goes.
         Nothing is left to run afterwards.
         """
-        processes, self._processes = self._processes, []
+        processes, self._processes = self._processes, {}
         for process in processes:
             process._generator.close()
             process._target = None
             process._resume_cb = None
         self._queue.clear()
         self._dispatching = [None]
+        self._arrivals = None
 
     def __repr__(self) -> str:
         return f"<Environment now={self.now} queued={len(self)}>"

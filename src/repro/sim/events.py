@@ -211,6 +211,7 @@ class Process(Event):
         env: "Environment",
         generator: ProcessGenerator,
         name: Optional[str] = None,
+        initialize: bool = True,
     ) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(
@@ -223,8 +224,9 @@ class Process(Event):
         #: ``_resume`` bound once: every yield subscribes this one
         #: object, and an interrupt removes it from the old target.
         self._resume_cb = self._resume
-        env._processes.append(self)
-        Initialize(env, self)
+        env._processes[self] = None
+        if initialize:
+            Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
@@ -299,6 +301,11 @@ class Process(Event):
         env._active_process = None
 
     def _finish(self, ok: bool, value: Any, exc: Optional[BaseException]) -> None:
+        # A finished process needs no closing, and drops the bound
+        # ``_resume`` that held it in a cycle: it goes when its last
+        # outside reference does, however long the run goes on.
+        del self.env._processes[self]
+        self._resume_cb = None
         self._target = None
         if ok:
             self._ok = True

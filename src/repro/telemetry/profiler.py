@@ -112,8 +112,8 @@ class KernelProfiler:
         (``peek`` / ``_pop_entry``) — dispatch order and counts stay
         byte-identical to :meth:`Environment.run`, only the per-callback
         timing wrappers differ. It never arms
-        :meth:`Environment.try_advance`, so every service slice is a
-        Timeout dispatch here.
+        :meth:`Environment.try_advance_at`, so every service slice and
+        arrival is a Timeout dispatch here.
         """
         pop_entry = env._pop_entry
         peek = env.peek

@@ -28,7 +28,7 @@ from repro.trace.tracer import COUNTER, INSTANT, SPAN, EventKind, TraceEvent, Tr
 PID = 1
 
 #: Whole-trace exports join their records in blocks of this many events
-#: before the final join (cf. ``Producer.CHUNK``). One join over every
+#: before the final join (cf. ``ArrivalStream.CHUNK``). One join over every
 #: record would hold ~10^5 small strings next to the result at once,
 #: which raises the allocator's high-water mark even though the live
 #: data is smaller.

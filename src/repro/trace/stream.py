@@ -46,7 +46,7 @@ from repro.trace.export import (
     _PerKind,
     _render_args,
 )
-from repro.trace.tracer import EventKind, TraceEvent, Tracer
+from repro.trace.tracer import EventKind, TraceEvent, Tracer, _stored
 
 #: Identifies a repro trace JSONL header.
 SCHEMA = "repro.trace"
@@ -110,21 +110,28 @@ def event_to_dict(event: TraceEvent) -> Dict[str, Any]:
     return json.loads(event_line(event))
 
 
-def event_from_dict(record: Dict[str, Any]) -> TraceEvent:
-    """Rebuild a :class:`TraceEvent` from its JSONL object."""
+def event_from_dict(
+    record: Dict[str, Any], kinds: Optional[Dict[tuple, EventKind]] = None
+) -> TraceEvent:
+    """Rebuild a :class:`TraceEvent` from its JSONL object.
+
+    ``kinds`` is an intern table, as a :class:`~repro.trace.tracer.Tracer`
+    keeps one: the events of one ``(phase, category, track, name, arg
+    keys)`` share one :class:`EventKind`, and its strings, instead of
+    each keeping its own. Without it the event gets a kind of its own.
+    """
     try:
-        return TraceEvent(
-            ts_s=record["ts"],
-            dur_s=record["dur"],
-            phase=record["ph"],
-            category=record["cat"],
-            track=record["track"],
-            name=record["name"],
-            seq=record["seq"],
-            args=record.get("args") or {},
-        )
+        args = record.get("args") or {}
+        key = (record["ph"], record["cat"], record["track"], record["name"], *args)
+        ts_s, dur_s, seq = record["ts"], record["dur"], record["seq"]
     except KeyError as exc:
         raise TraceSchemaError(f"event record missing field {exc}") from None
+    if kinds is None:
+        kinds = {}
+    kind = kinds.get(key)
+    if kind is None:
+        kind = kinds[key] = EventKind(*key[:4], key[4:])
+    return _stored(ts_s, dur_s, seq, kind, tuple(args.values()))
 
 
 def _header_line(meta: Optional[Dict[str, Any]]) -> str:
@@ -232,6 +239,8 @@ class TraceReader:
         self.header = self._parse_header(first)
         meta = self.header.get("meta")
         self.meta: Dict[str, Any] = meta if isinstance(meta, dict) else {}
+        #: The reader's intern table (see :func:`event_from_dict`).
+        self._kinds: Dict[tuple, EventKind] = {}
 
     def _parse_header(self, line: str) -> Dict[str, Any]:
         try:
@@ -290,7 +299,7 @@ class TraceReader:
         if "footer" in record:
             self.footer = record["footer"]
             return
-        yield event_from_dict(record)
+        yield event_from_dict(record, self._kinds)
 
     def read(self) -> List[TraceEvent]:
         """All events, in file order (sort with ``TraceEvent.sort_key``)."""

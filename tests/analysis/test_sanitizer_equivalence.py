@@ -1,7 +1,7 @@
 """The sanitized run loop and the plain one give the same results.
 
 ``SanitizingEnvironment.run`` never advances the clock in place:
-``Environment.try_advance`` refuses outside the plain ``run`` loop, so
+``Environment.try_advance_at`` refuses outside the plain ``run`` loop, so
 every service slice and arrival there is a queued Timeout. The plain
 loop takes the shortcut wherever nothing else could run first. Short
 Figure 9 rigs must produce equal :class:`RunMetrics` either way, and
@@ -23,8 +23,8 @@ def counting(base):
     class Counting(base):
         hits = 0
 
-        def try_advance(self, delay):
-            advanced = super().try_advance(delay)
+        def try_advance_at(self, *args):
+            advanced = super().try_advance_at(*args)
             Counting.hits += advanced
             return advanced
 

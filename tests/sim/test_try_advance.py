@@ -6,23 +6,25 @@ next event dispatched and the process its only waiter, so every run
 must be the same with it as without it. The unit tests pin each refusal
 condition; the hypothesis test runs random process mixes under
 :class:`Environment` and under :class:`HeapOnly`, a subclass whose
-``try_advance`` always refuses, and requires identical logs, event
+``try_advance_at`` always refuses, and requires identical logs, event
 counts and final clocks.
 """
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu import CState, CStateTable, Core, PState, PStateTable
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim.events import NORMAL, URGENT
 
 
 class HeapOnly(Environment):
     """Every slice makes its heap round trip through a Timeout."""
 
-    def try_advance(self, delay):
+    def try_advance_at(self, when, eid=None):
         return False
 
 
@@ -161,6 +163,184 @@ def test_sees_events_the_process_itself_just_scheduled():
     assert seen == [False, False]
 
 
+# -- the reserved-eid form ---------------------------------------------------------
+
+
+def reserved_wait(env, when, eid, seen):
+    """A wait whose eid was taken earlier: in place, else a heap wake."""
+    advanced = env.try_advance_at(when, eid)
+    seen.append(advanced)
+    if not advanced:
+        yield env.timeout_at(when, eid)
+
+
+def _queued(env, delay, priority=NORMAL):
+    event = env.event()
+    event._ok = True
+    event._value = None
+    env.schedule(event, delay, priority)
+    return event
+
+
+def test_reserved_wait_passes_an_equal_time_entry_with_a_higher_eid():
+    env = Environment()
+    seen = []
+
+    def proc():
+        yield env.timeout(0.0)
+        eid = next(env._eid)
+        env.timeout(1.0)  # the same instant, scheduled after the reservation
+        yield from reserved_wait(env, 1.0, eid, seen)
+        seen.append(env.now)
+
+    env.process(proc())
+    env.run()
+    assert seen == [True, 1.0]
+
+
+def test_reserved_wait_yields_to_an_equal_time_entry_with_a_lower_eid():
+    env = Environment()
+    order = []
+
+    def other():
+        yield env.timeout(1.0)
+        order.append("other")
+
+    def proc():
+        yield env.timeout(0.0)
+        env.process(other())  # its Timeout is queued at 1.0 first ...
+        yield env.timeout(0.0)
+        eid = next(env._eid)  # ... so it sorts before this reservation
+        seen = []
+        yield from reserved_wait(env, 1.0, eid, seen)
+        order.append(("proc", seen))
+
+    env.process(proc())
+    env.run()
+    assert order == ["other", ("proc", [False])]
+
+
+def test_reserved_wait_yields_to_an_urgent_entry_at_the_same_instant():
+    env = Environment()
+    order = []
+
+    def proc():
+        yield env.timeout(0.0)
+        eid = next(env._eid)
+        # Queued after the reservation, but URGENT sorts first.
+        _queued(env, 1.0, URGENT).callbacks.append(lambda e: order.append("urgent"))
+        seen = []
+        yield from reserved_wait(env, 1.0, eid, seen)
+        order.append(("proc", seen))
+
+    env.process(proc())
+    env.run()
+    assert order == ["urgent", ("proc", [False])]
+
+
+def test_reserved_wait_refuses_at_the_stop_time():
+    env = Environment()
+    seen = []
+
+    def proc():
+        yield env.timeout(0.0)
+        yield from reserved_wait(env, 0.5, next(env._eid), seen)
+        yield from reserved_wait(env, 1.0, next(env._eid), seen)
+        seen.append(env.now)
+
+    env.process(proc())
+    env.run(until=1.0)
+    assert seen == [True, False]
+    assert env.now == 1.0
+    env.run()
+    assert seen == [True, False, 1.0]
+
+
+def test_reserved_wait_refuses_a_time_in_the_past():
+    env = Environment(initial_time=2.0)
+    with pytest.raises(SimulationError):
+        env.try_advance_at(1.0, next(env._eid))
+    with pytest.raises(SimulationError):
+        env.timeout_at(math.nan, next(env._eid))
+
+
+def _reserved_program(env, log):
+    """Waits on reserved eids, with equal-time competitors around them."""
+
+    def competitor(name, delay):
+        yield env.timeout(delay)
+        log.append((env.now, name))
+
+    seen = []
+
+    def proc():
+        yield env.timeout(0.0)
+        eid = next(env._eid)
+        env.process(competitor("after", 1.0))
+        yield from reserved_wait(env, 1.0, eid, seen)
+        log.append((env.now, "proc"))
+        yield env.timeout(1.0)  # past the competitors and their ends
+        eid = next(env._eid)
+        yield from reserved_wait(env, 2.5, eid, seen)
+        log.append((env.now, "proc"))
+
+    env.process(competitor("before", 1.0))
+    env.process(proc())
+    return seen
+
+
+def test_instrumented_loops_never_arm_the_reserved_wait():
+    from repro.analysis.sanitizer import SanitizingEnvironment
+    from repro.telemetry.profiler import KernelProfiler
+
+    runs = {}
+    for name in ("plain", "sanitized", "profiled"):
+        env = SanitizingEnvironment() if name == "sanitized" else Environment()
+        log = []
+        seen = _reserved_program(env, log)
+        if name == "profiled":
+            KernelProfiler().run(env)
+        else:
+            env.run()
+        runs[name] = (log, env.events_processed, env.now, next(env._eid), seen)
+    assert runs["plain"][4] == [False, True]
+    for name in ("sanitized", "profiled"):
+        assert runs[name][4] == [False, False]  # both fall back to the heap
+        assert runs[name][:4] == runs["plain"][:4]
+
+
+def test_reserved_waits_take_the_eids_the_timeouts_would_have_taken():
+    """The reserved form, in place or on the heap, leaves the same eid
+    stream, dispatch order and event count as plain Timeouts."""
+    delays = [0.0, 0.5, 0.5, 0.0, 0.25, 1.0, 0.0]
+
+    def run(env, reserved):
+        log = []
+
+        def rival():
+            for delay in delays:
+                yield env.timeout(delay)
+                log.append((env.now, "rival"))
+
+        def proc():
+            for delay in delays:
+                if reserved:
+                    when = env.now + delay
+                    yield from reserved_wait(env, when, next(env._eid), [])
+                else:
+                    yield env.timeout(delay)
+                log.append((env.now, "proc"))
+
+        env.process(proc())
+        env.process(rival())
+        env.run()
+        return log, env.events_processed, next(env._eid)
+
+    plain = run(Environment(), reserved=False)
+    assert run(Environment(), reserved=True) == plain
+    assert run(HeapOnly(), reserved=True) == plain
+
+
 # -- equivalence on random process mixes -----------------------------------------
 
 #: Delays on a coarse grid, so equal-time ties are common; 0.1 + 0.2
@@ -275,8 +455,8 @@ class Counting(Environment):
 
     hits = 0
 
-    def try_advance(self, delay):
-        advanced = super().try_advance(delay)
+    def try_advance_at(self, *args):
+        advanced = super().try_advance_at(*args)
         self.hits += advanced
         return advanced
 

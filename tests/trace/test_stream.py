@@ -53,6 +53,44 @@ def test_roundtrip_preserves_events(tmp_path):
     assert reader.footer == {"events": 3}
 
 
+def test_read_events_share_one_kind_per_emission_site(tmp_path):
+    path = tmp_path / "t.jsonl"
+    tracer = small_tracer()
+    tracer.instant("mgr", "reserve", "slot", slot=4, consumer="c-1")
+    path.write_text(to_jsonl(tracer), encoding="utf-8")
+    back, _ = read_trace(path)
+    reserves = [e for e in back if e.name == "reserve"]
+    assert len(reserves) == 2
+    assert reserves[0].kind is reserves[1].kind
+    assert [e.args["slot"] for e in reserves] == [3, 4]
+    assert len({id(e.kind) for e in back}) == 3
+
+
+def test_retained_bytes_per_read_event_stay_bounded(tmp_path):
+    """A read event is an interned kind plus a values tuple, as a
+    recorded one is: about 250 B retained per event, where a kind and
+    strings of its own per event took about 710 B."""
+    import gc
+    import tracemalloc
+
+    path = tmp_path / "t.jsonl"
+    path.write_text(
+        to_jsonl(record_run("PBPL", "webserver", duration_s=1.0, n_consumers=4).tracer),
+        encoding="utf-8",
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        events, _ = read_trace(path)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(events) > 1000
+    assert (held - before) / len(events) <= 300
+
+
 def test_sink_sees_events_at_append_time(tmp_path):
     path = tmp_path / "live.jsonl"
     clock = Clock()
